@@ -27,27 +27,24 @@ pass and records a *single* graph node with a hand-derived backward:
 
 The forward reuses the shared propagation-kernel cache (per-hop ortho
 scaling folded into ``H`` once, exactly like the inference engine) and the
-runtime scratch buffers, and applies the engine's pruned-FFT border trick:
-the padded field is zero outside the ``n`` interior rows, so the row-axis
-passes only visit those rows — 25 % less FFT work at ``pad_factor=2`` with
-results identical to the composed ops.
+runtime scratch buffers.  Every propagation — forward, adjoint and the bare
+:func:`propagate` — is the engine's own pruned hop
+(:func:`repro.runtime.hop.hop`), which skips the zero pad border: 25 % less
+FFT work at ``pad_factor=2`` with results identical to the composed ops.
 
 The fast path is the default for :class:`~repro.optics.propagation.Propagator`
-and :class:`~repro.donn.layers.DiffractiveLayer`.  Opt out for debugging
-with :func:`set_fused_enabled`, the :class:`fused_disabled` context
-manager, or ``REPRO_FUSED=0`` in the environment; the composed per-op
-graph is kept as the reference implementation (equivalence is
-test-enforced by ``tests/autodiff/test_fused.py``).
+and :class:`~repro.donn.layers.DiffractiveLayer`.  The :class:`fused_disabled`
+context manager runs the composed per-op graph instead; it is kept as the
+reference implementation (equivalence is test-enforced by
+``tests/autodiff/test_fused.py``).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Tuple
 
 import numpy as np
 
-from ..backend import dispatch as _fft
 from ..backend import get_precision
 from .ops import _build
 from .tensor import Tensor, as_tensor
@@ -56,7 +53,6 @@ __all__ = [
     "diffmod",
     "propagate",
     "fused_enabled",
-    "set_fused_enabled",
     "fused_disabled",
     "clear_scratch",
 ]
@@ -64,21 +60,13 @@ __all__ = [
 _TWO_PI = 2.0 * np.pi
 _PARAMETRIZATIONS = ("sigmoid", "direct")
 
-#: Global switch; REPRO_FUSED=0 in the environment starts it disabled.
-_ENABLED: bool = os.environ.get("REPRO_FUSED", "1").lower() not in (
-    "0", "false", "off",
-)
+#: Off only inside a :class:`fused_disabled` block.
+_ENABLED: bool = True
 
 
 def fused_enabled() -> bool:
     """Whether layers/propagators run the fused single-node fast path."""
     return _ENABLED
-
-
-def set_fused_enabled(mode: bool) -> None:
-    """Globally enable or disable the fused fast path."""
-    global _ENABLED
-    _ENABLED = bool(mode)
 
 
 class fused_disabled:
@@ -88,12 +76,13 @@ class fused_disabled:
     """
 
     def __enter__(self) -> "fused_disabled":
-        self._previous = fused_enabled()
-        set_fused_enabled(False)
+        global _ENABLED
+        self._previous, _ENABLED = _ENABLED, False
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        set_fused_enabled(self._previous)
+        global _ENABLED
+        _ENABLED = self._previous
 
     def __call__(self, fn):
         def wrapper(*args, **kwargs):
@@ -155,36 +144,18 @@ def _prescaled(kernel) -> Tuple[np.ndarray, np.ndarray]:
 # ----------------------------------------------------------------------
 def _propagate_padded(fields: np.ndarray, h: np.ndarray, pad: int,
                       n: int) -> np.ndarray:
-    """One pad -> FFT -> ``h``-mul -> IFFT -> crop hop over ``(batch, n, n)``.
+    """Embed ``(batch, n, n)`` fields in the scratch plane, run one
+    :func:`~repro.runtime.hop.hop` through ``h`` and crop.
 
-    ``h`` is a *prescaled* transfer function (or its conjugate, for the
-    adjoint); its dtype sets the compute precision — the padded work
-    plane is allocated at ``h.dtype``, so a complex64 kernel runs the
-    whole hop (and any complex128 inputs assigned into the plane) in
-    single precision.  The padded field is zero outside the ``n``
-    interior rows, so each 2-D transform runs as two 1-D passes and the
-    row-axis pass only visits those rows (the zero border transforms to
-    zero for free); the inverse side produces only the interior rows,
-    which is all the crop keeps.  Returns a fresh array each call —
-    only the padded ``work`` plane is shared scratch.
-
-    This is the single-hop form of the multi-hop loop in
-    ``InferenceEngine._propagate_chunk`` (which additionally keeps the
-    field resident on the padded grid between hops); a change to the
-    pruning trick or the normalization convention must be mirrored there.
+    ``h``'s dtype sets the compute precision (the plane is allocated at
+    ``h.dtype``).  Returns a fresh array; only the plane is scratch.
     """
+    from ..runtime.hop import hop
+
     side = h.shape[-1]
-    batch = fields.shape[0]
-    rows = slice(pad, pad + n)
-    work = _scratch().zeros("fused", (batch, side, side), h.dtype)
-    work[:, rows, pad:pad + n] = fields
-    work[:, rows, :] = _fft.fft(work[:, rows, :], axis=-1)
-    spectrum = _fft.fft(work, axis=-2)
-    np.multiply(spectrum, h, out=spectrum)
-    tall = _fft.ifft(spectrum, axis=-2, norm="forward", overwrite_x=True)
-    inner = _fft.ifft(tall[:, rows, :], axis=-1, norm="forward",
-                      overwrite_x=True)
-    return inner[:, :, pad:pad + n]
+    work = _scratch().zeros("fused", (fields.shape[0], side, side), h.dtype)
+    work[:, pad:pad + n, pad:pad + n] = fields
+    return hop(work, h, pad, n)[:, :, pad:pad + n]
 
 
 def _check_field(field: Tensor, n: int) -> None:

@@ -11,8 +11,8 @@ should run in with the tolerances that dtype can honestly promise:
   roughness-aware objective trains under explicit weight perturbation),
   so the relaxed tolerances below are all the mode costs.
 
-The active policy is process-wide state, mirroring the fused-fast-path
-flag: resolved from ``REPRO_PRECISION`` at import, switchable with
+The active policy is process-wide state: resolved from
+``REPRO_PRECISION`` at import, switchable with
 :func:`set_precision`, and scoped with :class:`precision_scope` (what
 ``Trainer.fit(precision=...)`` uses).  Consumers — the fused training
 op, input encoding, the per-precision kernel cache — ask

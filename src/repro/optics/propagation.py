@@ -18,7 +18,8 @@ included purely as a cross-validation oracle for the tests.
 
 :class:`Propagator` wraps a precomputed transfer function into a
 differentiable callable (pad -> FFT -> multiply -> iFFT -> crop) built on
-:mod:`repro.autodiff`.
+:mod:`repro.autodiff`; its fast path is the shared pruned hop of
+:mod:`repro.runtime.hop`.
 """
 
 from __future__ import annotations
@@ -184,10 +185,11 @@ class Propagator:
     def __call__(self, field) -> Tensor:
         """Propagate ``field`` (shape ``(..., n, n)``), differentiably.
 
-        Runs the fused single-node fast path by default (one pruned
-        NumPy pass forward, the exact ``conj(H)`` adjoint backward — see
-        :mod:`repro.autodiff.fused`); disable it to fall back to the
-        composed pad/fft2/mul/ifft2/crop reference graph.
+        Runs the fused single-node fast path by default (one pruned hop,
+        :func:`repro.runtime.hop.hop`, forward and the exact ``conj(H)``
+        adjoint backward — see :mod:`repro.autodiff.fused`); inside
+        ``fused.fused_disabled()`` it runs the composed
+        pad/fft2/mul/ifft2/crop reference graph instead.
         """
         field = as_tensor(field)
         if field.shape[-1] != self.grid.n or field.shape[-2] != self.grid.n:

@@ -39,6 +39,7 @@ from typing import (
 import numpy as np
 
 from ..data import Dataset
+from ..utils.backoff import backoff_delay
 from .config import ExperimentConfig
 from .recipes import RECIPES, RecipeResult, prepare_data, run_recipe
 
@@ -323,7 +324,8 @@ class SupervisedPool:
                            message=message, attempts=attempt + 1,
                            permanent=False)
             else:
-                delay = self._backoff(attempt)
+                delay = backoff_delay(attempt, self.backoff_base,
+                                      self.backoff_cap, self._rng)
                 heapq.heappush(
                     ready, (time.monotonic() + delay, index, attempt + 1))
                 self._emit("point_retry", index=index, error_type=kind,
@@ -355,12 +357,6 @@ class SupervisedPool:
             slot.executor.shutdown(wait=False, cancel_futures=True)
             slot.executor = None
 
-    def _backoff(self, attempt: int) -> float:
-        """Bounded exponential backoff with jitter (the serving layer's
-        respawn curve): cap * U[0.5, 1.0) spread to decorrelate slots."""
-        base = min(self.backoff_cap, self.backoff_base * (2.0 ** attempt))
-        return base * (0.5 + self._rng.random() / 2.0)
-
     def _emit(self, event: str, **fields: Any) -> None:
         if self.on_event is not None:
             self.on_event(event, **fields)
@@ -372,19 +368,17 @@ class SupervisedPool:
 _WORKER_DATA: Optional[Tuple[Dataset, Dataset]] = None
 
 
-def _init_worker(data: Tuple[Dataset, Dataset], fused_on: bool,
-                 backend_name: str, precision_name: str) -> None:
+def _init_worker(data: Tuple[Dataset, Dataset], backend_name: str,
+                 precision_name: str) -> None:
     """Pool initializer: stash the shared dataset and mirror the parent's
-    process-wide toggles — the fused-fast-path flag, the FFT backend and
-    the ambient precision policy (spawn-based platforms re-import the
-    package, so programmatic ``set_fused_enabled`` / ``set_backend`` /
-    ``set_precision`` calls would otherwise be lost — and with them the
-    byte-identical-to-serial guarantee)."""
+    process-wide toggles — the FFT backend and the ambient precision
+    policy (spawn-based platforms re-import the package, so programmatic
+    ``set_backend`` / ``set_precision`` calls would otherwise be lost —
+    and with them the byte-identical-to-serial guarantee)."""
     global _WORKER_DATA
     _WORKER_DATA = data
     import signal
 
-    from ..autodiff import fused
     from ..backend import set_backend, set_precision
 
     # Ctrl-C belongs to the orchestrator: it decides whether to drain
@@ -392,7 +386,6 @@ def _init_worker(data: Tuple[Dataset, Dataset], fused_on: bool,
     # Ctrl-C (delivered to the whole foreground process group) from
     # looking like a worker crash.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    fused.set_fused_enabled(fused_on)
     set_backend(backend_name)
     set_precision(precision_name)
 
@@ -412,9 +405,9 @@ def _map_recipes(tasks: List[tuple], data: Tuple[Dataset, Dataset],
     """Run ``(recipe, config, verbose)`` tasks over a shared ``data``
     split, fanning out across worker processes when ``max_workers > 1``.
 
-    Results preserve task order.  Each worker receives the dataset and
-    the fused-path flag once (initializer), and ``run_recipe`` re-seeds
-    the global RNG deterministically, so results do not depend on which
+    Results preserve task order.  Each worker receives the dataset once
+    (initializer), and ``run_recipe`` re-seeds the global RNG
+    deterministically, so results do not depend on which
     process (or in what order) a recipe ran — or on how many times a
     crashed point was retried by the :class:`SupervisedPool`.
 
@@ -428,7 +421,6 @@ def _map_recipes(tasks: List[tuple], data: Tuple[Dataset, Dataset],
             run_recipe(recipe, config, data=data, verbose=verbose)
             for recipe, config, verbose in tasks
         ]
-    from ..autodiff import fused
     from ..backend import backend_name, get_precision
 
     pool = SupervisedPool(
@@ -437,8 +429,7 @@ def _map_recipes(tasks: List[tuple], data: Tuple[Dataset, Dataset],
         max_retries=max_retries,
         timeout_s=timeout_s,
         initializer=_init_worker,
-        initargs=(data, fused.fused_enabled(), backend_name(),
-                  get_precision().name),
+        initargs=(data, backend_name(), get_precision().name),
         on_event=on_event,
     )
     outcomes = pool.run(tasks)

@@ -13,6 +13,8 @@ overhead:
   the whole stack; each layer's phase mask is embedded in a padded
   complex array (zeros outside the aperture), so the autodiff path's
   ``crop -> modulate -> pad`` becomes a single in-place multiply;
+* **one pruned hop** — every hop is :func:`repro.runtime.hop.hop`, the
+  same pass the fused training op runs (skipping the zero pad border);
 * **preallocated scratch buffers** — reused across batches and chunks;
 * **optional single precision** (``precision="single"``), roughly
   halving FFT memory bandwidth at ~1e-4 logit accuracy;
@@ -30,9 +32,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..backend import PRECISIONS
-from ..backend import dispatch as _fft
 from .buffers import ScratchBuffers
-from .kernel_cache import PropagationKernel, get_kernel, kernel_for_dtype
+from .hop import hop
+from .kernel_cache import PropagationKernel, kernel_for_dtype
 
 __all__ = ["InferenceEngine"]
 
@@ -108,13 +110,11 @@ class InferenceEngine:
         #: ``"single"`` engine shares one complex64 kernel per geometry
         #: instead of downcasting a complex128 array per build.
         self._kernels: List[PropagationKernel] = [
-            kernel_for_dtype(self._hop_kernel(layer.propagator),
-                             self._cdtype)
+            kernel_for_dtype(layer.propagator.kernel, self._cdtype)
             for layer in model.layers
         ]
         self._kernels.append(
-            kernel_for_dtype(self._hop_kernel(model.to_detector),
-                             self._cdtype)
+            kernel_for_dtype(model.to_detector.kernel, self._cdtype)
         )
         pads = {k.pad for k in self._kernels}
         sides = {k.padded_n for k in self._kernels}
@@ -174,19 +174,6 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     # Compilation
     # ------------------------------------------------------------------
-    @staticmethod
-    def _hop_kernel(propagator) -> PropagationKernel:
-        kernel = getattr(propagator, "kernel", None)
-        if isinstance(kernel, PropagationKernel):
-            return kernel
-        return get_kernel(
-            propagator.grid,
-            propagator.distance,
-            method=propagator.method,
-            pad_factor=propagator.pad_factor,
-            band_limit=getattr(propagator, "band_limit", True),
-        )
-
     def refresh(
         self, modulations: Optional[Sequence[np.ndarray]] = None
     ) -> "InferenceEngine":
@@ -264,55 +251,22 @@ class InferenceEngine:
         detector field ``(batch, n, n)`` (scratch, valid until the next
         chunk).
 
-        Every hop's input field is exactly zero outside the interior
-        rows (the pad border is never written; the padded modulation
-        zeroes everything it touches outside the aperture), so each 2-D
-        transform is split into per-axis passes and the pass over the
-        row axis only visits the ``n`` interior rows — at ``pad_factor
-        2`` that skips a quarter of all FFT work with bit-identical
-        results.  Transforms run unscaled; the ortho normalization lives
-        in the prescaled kernels (see ``__init__``).
-
-        The single-hop form of this pass also lives in
-        ``repro.autodiff.fused._propagate_padded`` (the training fast
-        path); a change to the pruning trick or the normalization
-        convention must be mirrored there.
+        The field stays on the padded grid between hops: each hop is the
+        pruned pass of :func:`~repro.runtime.hop.hop`, and the padded
+        modulation rows (zero outside the aperture columns) are applied
+        to the interior rows in place, restoring the zero border the
+        next hop relies on.
         """
-        batch = fields.shape[0]
         n, pad, side = self.n, self._pad, self._padded_n
-        workers = self.workers
-        rows = slice(pad, pad + n)
         work = self._buffers.zeros(
-            "field", (batch, side, side), self._cdtype
+            "field", (fields.shape[0], side, side), self._cdtype
         )
-        work[:, rows, pad:pad + n] = fields
-        last = len(self._hs) - 1
-        inner = None
-        for hop, h in enumerate(self._hs):
-            # Forward: transform the nonzero rows, then the full columns
-            # (the zero border rows transform to zero for free).
-            work[:, rows, :] = _fft.fft(
-                work[:, rows, :], axis=-1, workers=workers
-            )
-            spectrum = _fft.fft(work, axis=-2, workers=workers)
-            np.multiply(spectrum, h, out=spectrum)
-            # Inverse: full column pass, then only the interior rows —
-            # everything outside them is about to be cropped or zeroed
-            # by the next modulation anyway.
-            tall = _fft.ifft(
-                spectrum, axis=-2, norm="forward", overwrite_x=True,
-                workers=workers,
-            )
-            inner = _fft.ifft(
-                tall[:, rows, :], axis=-1, norm="forward",
-                overwrite_x=True, workers=workers,
-            )
-            if hop < last:
-                # The modulation rows are zero outside the aperture
-                # columns, restoring the sparsity invariant in work.
-                np.multiply(inner, self._modulation_rows[hop], out=inner)
-                work[:, rows, :] = inner
-        return inner[:, :, pad:pad + n]
+        work[:, pad:pad + n, pad:pad + n] = fields
+        for h, modulation in zip(self._hs, self._modulation_rows):
+            inner = hop(work, h, pad, n, self.workers)
+            np.multiply(inner, modulation, out=inner)
+            work[:, pad:pad + n, :] = inner
+        return hop(work, self._hs[-1], pad, n, self.workers)[:, :, pad:pad + n]
 
     def _intensity_chunk(self, fields: np.ndarray) -> np.ndarray:
         """Detector-plane intensity ``(batch, n, n)`` for one chunk.

@@ -26,6 +26,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
+from ..utils.backoff import backoff_delay
 from .server import ServeConfig, Server
 
 __all__ = ["run_load", "benchmark_serving", "benchmark_fault_recovery",
@@ -127,8 +128,7 @@ def http_sender(url: str, route: str = "/v1/predict",
                 return min(float(retry_after), backoff_cap)
             except ValueError:
                 pass  # HTTP-date flavor or garbage; fall through
-        delay = min(backoff_cap, backoff * (2 ** attempt))
-        return delay * (0.5 + jitter.random() / 2)
+        return backoff_delay(attempt, backoff, backoff_cap, jitter)
 
     def send(sample: np.ndarray):
         payload = {"inputs": np.asarray(sample).tolist()}

@@ -139,6 +139,8 @@ def _parse_inputs(payload: dict) -> np.ndarray:
                 f"shape {inputs.shape}"
             )
         inputs = inputs + 1j * imag
+    if not np.isfinite(inputs).all():
+        raise _BadRequest("inputs contain NaN or infinity")
     if inputs.ndim not in (2, 3):
         raise _BadRequest(
             f"inputs must be a 2-D sample or a 3-D batch, got shape "

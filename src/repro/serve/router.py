@@ -61,6 +61,7 @@ from concurrent.futures import (
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs.metrics import MetricsRegistry
+from ..utils.backoff import backoff_delay
 from .http import jittered_retry_after
 
 __all__ = [
@@ -577,11 +578,10 @@ class Router:
             return None
 
     def _backoff(self, attempt: int) -> float:
-        base = min(self.config.failover_backoff * (2 ** attempt),
-                   self.config.failover_backoff_cap)
         with self._lock:
-            jitter = 0.5 + self._backoff_rng.random()  # [0.5, 1.5)
-        return base * jitter
+            return backoff_delay(attempt, self.config.failover_backoff,
+                                 self.config.failover_backoff_cap,
+                                 self._backoff_rng)
 
     def _shed(self, reason: str) -> _Response:
         self._m_sheds.inc(reason=reason)

@@ -420,7 +420,14 @@ class Server:
         With ``cache_size`` enabled, a byte-identical repeat of an
         earlier request resolves immediately from the LRU result cache
         without touching the batcher or an engine.
+
+        A sample containing NaN or infinity raises ``ValueError`` here,
+        before admission, so it cannot fail the micro-batch it would
+        have joined.
         """
+        values = np.asarray(getattr(sample, "data", sample))
+        if values.dtype.kind in "fc" and not np.isfinite(values).all():
+            raise ValueError("sample contains NaN or infinity")
         self.start()
         with self._lock:
             if self._draining:

@@ -67,6 +67,7 @@ from typing import Any, Dict, List, Optional, Union
 import numpy as np
 
 from ..obs.metrics import MetricsRegistry
+from ..utils.backoff import backoff_delay
 from .errors import DeadlineExceeded, NoHealthyShards, ShardCrash
 from .faults import FaultPlan, ShardFaultState, kill_process
 
@@ -452,8 +453,8 @@ class ShardedPool:
         if not retry:
             self._resolve(outer, exc=exc)
             return
-        delay = min(self.backoff_cap, self.backoff_base * (2 ** attempt))
-        delay *= 0.5 + self._jitter.random() / 2
+        delay = backoff_delay(attempt, self.backoff_base, self.backoff_cap,
+                              self._jitter)
         if deadline is not None and time.monotonic() + delay > deadline:
             self._resolve(outer, exc=DeadlineExceeded(
                 f"deadline expired before retry {attempt + 1} "

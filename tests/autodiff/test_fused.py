@@ -7,6 +7,8 @@ with and without a frozen sparsity mask, plus finite-difference
 validation of the hand-derived VJPs.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -41,15 +43,11 @@ def random_field(shape, seed=5):
 
 def layer_loss_and_grads(layer, field_data, use_fused):
     """Scalar loss through one layer plus (field, phase) gradients."""
-    previous = fused.fused_enabled()
-    fused.set_fused_enabled(use_fused)
-    try:
+    with nullcontext() if use_fused else fused.fused_disabled():
         layer.phase.zero_grad()
         field = Tensor(field_data, requires_grad=True)
         loss = ops.sum(ops.abs2(layer(field)))
         loss.backward()
-    finally:
-        fused.set_fused_enabled(previous)
     return loss.item(), np.array(field.grad), np.array(layer.phase.grad)
 
 
@@ -132,13 +130,9 @@ class TestGradientEquivalence:
         field_data = random_field((2, N, N), seed=13)
 
         def grads(use_fused):
-            previous = fused.fused_enabled()
-            fused.set_fused_enabled(use_fused)
-            try:
+            with nullcontext() if use_fused else fused.fused_disabled():
                 field = Tensor(field_data, requires_grad=True)
                 ops.sum(ops.abs2(prop(field))).backward()
-            finally:
-                fused.set_fused_enabled(previous)
             return np.array(field.grad)
 
         assert np.abs(grads(True) - grads(False)).max() < GRAD_TOL

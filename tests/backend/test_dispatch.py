@@ -191,3 +191,15 @@ class TestSingleDispatchPoint:
         assert not offenders, (
             "direct FFT calls outside repro.backend:\n" + "\n".join(offenders)
         )
+
+    def test_unscaled_inverse_only_in_the_hop(self):
+        # The pruned hop has one home; a second copy of its unscaled
+        # inverse pass means the hop was hand-mirrored again.
+        src = Path(__file__).resolve().parents[2] / "src" / "repro"
+        forward_norm = re.compile(r"norm\s*=\s*[\"']forward[\"']")
+        offenders = [
+            str(path.relative_to(src))
+            for path in sorted(src.rglob("*.py"))
+            if forward_norm.search(path.read_text())
+        ]
+        assert offenders == [str(Path("runtime") / "hop.py")], offenders

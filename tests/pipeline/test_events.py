@@ -113,6 +113,7 @@ class TestEventLog:
             def close(self):
                 pass
 
+        log._fh.close()
         log._fh = FailingHandle()
         log.emit("lost")  # must not raise
         assert log._fh is None

@@ -181,6 +181,24 @@ class TestValidation:
             served = [future.result(timeout=10) for future in others]
         assert np.array_equal(served, model.predict(images[1:3]))
 
+    def test_non_finite_sample_rejected_before_batching(self, model,
+                                                        images):
+        # The bad sample never joins the micro-batch, so the good
+        # requests waiting on the same flush still answer.
+        bad = images[0].copy()
+        bad[3, 5] = np.nan
+        with serve(model, max_batch=3, max_delay=30.0) as server:
+            good = [server.submit("predict", image)
+                    for image in images[1:3]]
+            with pytest.raises(ValueError, match="NaN"):
+                server.submit("predict", bad)
+            with pytest.raises(ValueError, match="NaN"):
+                server.submit("predict", np.full((28, 28), np.inf))
+            assert server.stats()["counters"]["requests"] == 2
+            last = server.submit("predict", images[3])
+            served = [f.result(timeout=10) for f in good + [last]]
+        assert np.array_equal(served, model.predict(images[1:4]))
+
     def test_engine_errors_propagate_to_every_waiter(self, model):
         # Wrong-shaped complex fields pass the 2-D gate but explode in
         # the engine; both waiting futures must see the error.

@@ -155,6 +155,16 @@ class TestHTTPErrors:
         _, url = served
         self.expect_error(url, "/v1/predict", b"", 400)
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_inputs_400(self, served, images, token):
+        _, url = served
+        sample = images[0].tolist()
+        body = json.dumps({"inputs": sample}).replace(
+            json.dumps(sample[3][5]), token, 1)
+        assert token in body
+        payload = self.expect_error(url, "/v1/predict", body.encode(), 400)
+        assert "NaN or infinity" in payload["error"]
+
     def test_wrong_field_shape_400(self, served):
         # A complex field whose shape does not match the grid is an
         # engine-side ValueError -> 400, not a 500.
