@@ -12,6 +12,10 @@ This module is now the *single* place an FFT implementation is chosen:
 * ``REPRO_BACKEND`` in the environment (``auto`` / ``scipy`` / ``numpy``)
   overrides the resolution, and :func:`set_backend` does the same
   programmatically (tests pin the fallback this way);
+* ``REPRO_FFT_WORKERS`` / :func:`set_workers` is the process's FFT thread
+  budget: the fused training op's batch slices
+  (:func:`repro.runtime.hop.hop_batch`) and the default ``workers=`` of
+  every other transform;
 * the wrappers present one uniform signature regardless of backend: the
   numpy fallback silently absorbs ``workers=`` / ``overwrite_x=`` and
   preserves single-precision dtypes (older numpys promote complex64
@@ -56,9 +60,7 @@ _BACKENDS = ("scipy", "numpy")
 #: ``("numpy", None)``.  Mutated only by :func:`set_backend`.
 _IMPL: Tuple[str, Optional[object]] = ("numpy", None)
 
-#: Default thread count forwarded to scipy transforms when the caller
-#: passes ``workers=None`` (``None`` = the backend's own default, i.e.
-#: single-threaded).
+#: The FFT thread budget (see :func:`set_workers`); ``None`` = unset.
 _WORKERS: Optional[int] = None
 
 
@@ -115,10 +117,21 @@ def backend_name() -> str:
 
 
 def set_workers(workers: Optional[int]) -> None:
-    """Set the default thread count for scipy transforms (None = 1).
+    """Set the process's FFT thread budget (``REPRO_FFT_WORKERS``).
 
-    Only affects calls that pass ``workers=None``; explicit per-call
-    values always win.  Ignored on the numpy fallback.
+    * The fused training op splits each propagation into at most
+      ``workers`` batch slices on a thread pool
+      (:func:`repro.runtime.hop.hop_batch`, bit-identical to the serial
+      pass); ``1`` keeps it serial, and ``None`` (unset) lets it use
+      every usable core.  Negative values count back from the core
+      count, scipy-style (``-1`` = all cores).
+    * Every other transform that passes ``workers=None`` forwards this
+      value to scipy (``None`` = scipy's single-threaded default);
+      explicit per-call values always win, and the numpy fallback
+      ignores it.
+
+    Pool-process initializers pin it to 1: the processes are the
+    parallelism there.
     """
     global _WORKERS
     if workers is not None:
@@ -130,7 +143,7 @@ def set_workers(workers: Optional[int]) -> None:
 
 
 def get_workers() -> Optional[int]:
-    """The process-wide default ``workers=`` value (None = backend default)."""
+    """The FFT thread budget set by :func:`set_workers` (None = unset)."""
     return _WORKERS
 
 
@@ -237,8 +250,8 @@ def _init_from_env() -> None:
         except ValueError as exc:
             raise ValueError(
                 f"{_WORKERS_ENV}={raw!r} is not a valid worker count: "
-                f"{exc} (use a nonzero integer, e.g. -1 for all cores, "
-                "or unset the variable for the single-threaded default)"
+                f"{exc} (use a nonzero integer, e.g. 1 for serial "
+                "transforms or -1 for all cores, or unset the variable)"
             ) from exc
     else:
         set_workers(None)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["bilinear_resize", "encode_amplitude"]
+__all__ = ["bilinear_resize", "encode_amplitude", "check_encodable"]
 
 
 def bilinear_resize(images: np.ndarray, size: int) -> np.ndarray:
@@ -77,6 +77,10 @@ def encode_amplitude(
     -------
     Complex field array of shape ``(batch, size, size)`` (a singleton batch
     axis is added for 2-D inputs).
+
+    Raises ``ValueError`` for negative intensities and, when normalizing,
+    for an image whose total power is not finite (NaN input, or values so
+    large that their squares overflow float64).
     """
     images = np.asarray(images, dtype=np.float64)
     if images.ndim == 2:
@@ -89,10 +93,51 @@ def encode_amplitude(
         raise ValueError("image intensities must be non-negative")
     amplitude = bilinear_resize(images, size)
     if normalize:
-        power = np.sum(amplitude ** 2, axis=(-2, -1), keepdims=True)
-        # Blank images stay blank instead of dividing by zero.
-        amplitude = amplitude / np.sqrt(np.maximum(power, 1e-30))
+        amplitude = amplitude / np.sqrt(
+            np.maximum(_power(amplitude), 1e-30))[:, None, None]
     dtype = np.dtype(dtype)
     if dtype.kind != "c":
         raise TypeError(f"encoded fields are complex, got dtype {dtype}")
     return amplitude.astype(dtype)
+
+
+def _power(amplitude: np.ndarray) -> np.ndarray:
+    """Total power of each ``(size, size)`` image in the batch.
+
+    A running sum in row-major pixel order: unlike ``np.sum``, whose
+    pairwise blocking depends on the array's layout, it gives an image
+    the same bits alone as in any batch.  It is also the order a batched
+    ``np.sum`` took over the resampler's batch-innermost layout, so
+    batches encode exactly as they always have.  Blank images have
+    power 0 and stay blank after normalization.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.square(amplitude).reshape(len(amplitude), -1)
+        power = np.cumsum(squares, axis=1)[:, -1]
+    if not np.isfinite(power).all():
+        raise ValueError("image power is not finite: the intensities are "
+                         "NaN, or too large to square in float64")
+    return power
+
+
+def check_encodable(image: np.ndarray, size: int) -> None:
+    """Raise the ``ValueError`` that :func:`encode_amplitude` would raise
+    for ``image`` at ``size``, without encoding ordinary inputs.
+
+    Bilinear resampling never exceeds the image's peak, so an image whose
+    peak squared times ``size**2`` stays far from the float64 limit cannot
+    overflow the power; only the rare image that might is encoded.  Lets a
+    server reject a sample before it joins a micro-batch.
+    """
+    image = np.asarray(image, dtype=np.float64)
+    if not image.size:
+        return  # left to the caller's shape checks
+    if image.min() < 0:
+        raise ValueError("image intensities must be non-negative")
+    if not image.max() < _SAFE_PEAK / size:  # NaN compares false too
+        encode_amplitude(image, size)
+
+
+#: Peak times grid size below which the encoded power cannot overflow
+#: (half the float64 range, for the summation's rounding).
+_SAFE_PEAK = float(np.sqrt(np.finfo(np.float64).max / 2))

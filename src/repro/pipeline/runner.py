@@ -374,12 +374,15 @@ def _init_worker(data: Tuple[Dataset, Dataset], backend_name: str,
     process-wide toggles — the FFT backend and the ambient precision
     policy (spawn-based platforms re-import the package, so programmatic
     ``set_backend`` / ``set_precision`` calls would otherwise be lost —
-    and with them the byte-identical-to-serial guarantee)."""
+    and with them the byte-identical-to-serial guarantee).  The FFT
+    thread budget is pinned to one thread: the pool's processes are the
+    parallelism, and N workers must not each slice hops across every
+    core."""
     global _WORKER_DATA
     _WORKER_DATA = data
     import signal
 
-    from ..backend import set_backend, set_precision
+    from ..backend import set_backend, set_precision, set_workers
 
     # Ctrl-C belongs to the orchestrator: it decides whether to drain
     # gracefully or hard-exit.  Workers ignoring SIGINT keeps a terminal
@@ -388,6 +391,7 @@ def _init_worker(data: Tuple[Dataset, Dataset], backend_name: str,
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     set_backend(backend_name)
     set_precision(precision_name)
+    set_workers(1)
 
 
 def _recipe_task(task: tuple) -> RecipeResult:

@@ -15,18 +15,71 @@ quarter of all FFT work with results identical to the full 2-D pass.
 Transforms run unscaled; the ortho normalization is folded into the
 prescaled transfer function (``PropagationKernel.prescaled``).
 
+:func:`hop_batch` is the fused training op's entry point: it splits a
+batch into contiguous row slices and runs them on a process-wide thread
+pool.  Every 1-D transform and every ``H`` multiply acts on one row at a
+time, so the sliced result equals the serial one bit for bit; pocketfft
+and numpy release the GIL, so the slices really run in parallel.
+
 This module depends only on numpy and :mod:`repro.backend.dispatch`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from typing import List, Optional
 
 import numpy as np
 
 from ..backend import dispatch as _fft
 
-__all__ = ["hop"]
+__all__ = ["hop", "hop_batch", "thread_budget", "usable_cores",
+           "MIN_SLICE_ROWS"]
+
+#: Fewest batch rows a slice gets; smaller batches run serially.  Waking
+#: a pool thread costs up to a millisecond on a virtualized core, so a
+#: slice must carry enough work to pay for it.  Measured at n=40,
+#: pad_factor=2 on 2 cores (docs/performance.md, "Thread budget"): two
+#: slices of 16 rows gain 5 % (double) to 1.9x (single) over one 32-row
+#: pass, while slices of 4 to 8 rows lose 5-20 %.
+MIN_SLICE_ROWS = 16
+
+_POOL: Optional[ThreadPoolExecutor] = None
+_POOL_THREADS = 0
+_POOL_LOCK = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """A forked child inherits the pool object but none of its threads;
+    drop it so the child builds its own on first use."""
+    global _POOL, _POOL_THREADS, _POOL_LOCK
+    _POOL, _POOL_THREADS = None, 0
+    _POOL_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def usable_cores() -> int:
+    """Cores this process may run on (its CPU affinity, where known)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def thread_budget() -> int:
+    """Threads :func:`hop_batch` may use: the ``set_workers`` /
+    ``REPRO_FFT_WORKERS`` value, or every usable core when it is unset
+    (negative values count back from the cores, scipy-style)."""
+    workers = _fft.get_workers()
+    if workers is None:
+        return usable_cores()
+    if workers < 0:
+        return max(1, usable_cores() + 1 + workers)
+    return workers
 
 
 def hop(work: np.ndarray, h: np.ndarray, pad: int, n: int,
@@ -47,3 +100,59 @@ def hop(work: np.ndarray, h: np.ndarray, pad: int, n: int,
                      workers=workers)
     return _fft.ifft(tall[:, rows, :], axis=-1, norm="forward",
                      overwrite_x=True, workers=workers)
+
+
+def _hop_slice(fields: np.ndarray, h: np.ndarray, pad: int, n: int,
+               work: np.ndarray, out: np.ndarray, lo: int, hi: int,
+               workers: Optional[int]) -> None:
+    """Rows ``lo:hi``: zero and fill their planes, hop, crop into ``out``."""
+    plane = work[lo:hi]
+    plane.fill(0)
+    plane[:, pad:pad + n, pad:pad + n] = fields[lo:hi]
+    out[lo:hi] = hop(plane, h, pad, n, workers)[:, :, pad:pad + n]
+
+
+def _submit(slices: List[tuple]) -> list:
+    """Queue the slices on the shared pool, growing it when needed."""
+    global _POOL, _POOL_THREADS
+    with _POOL_LOCK:
+        if _POOL_THREADS < len(slices):
+            if _POOL is not None:
+                _POOL.shutdown(wait=False)  # queued slices still run
+            _POOL = ThreadPoolExecutor(max_workers=len(slices),
+                                       thread_name_prefix="repro-hop")
+            _POOL_THREADS = len(slices)
+        return [_POOL.submit(_hop_slice, *args) for args in slices]
+
+
+def hop_batch(fields: np.ndarray, h: np.ndarray, pad: int, n: int,
+              work: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Propagate ``(batch, n, n)`` fields through ``h`` into ``out``.
+
+    ``work`` is a ``(batch, side, side)`` scratch plane of ``h.dtype``
+    with arbitrary contents and ``out`` the caller's ``(batch, n, n)``
+    result; both are only written row-slice by row-slice.  With a
+    :func:`thread_budget` of ``k > 1`` the batch splits into up to ``k``
+    contiguous slices of at least :data:`MIN_SLICE_ROWS` rows; the
+    calling thread runs the first and pool threads the rest, each with
+    single-threaded transforms.  Otherwise one serial pass runs with the
+    backend's default ``workers``.  Returns ``out``.
+    """
+    batch = fields.shape[0]
+    count = min(thread_budget(), batch // MIN_SLICE_ROWS)
+    if count <= 1:
+        _hop_slice(fields, h, pad, n, work, out, 0, batch, None)
+        return out
+    cuts = [batch * index // count for index in range(count + 1)]
+    futures = _submit([(fields, h, pad, n, work, out, lo, hi, 1)
+                       for lo, hi in zip(cuts[1:-1], cuts[2:])])
+    try:
+        _hop_slice(fields, h, pad, n, work, out, 0, cuts[1], 1)
+    finally:
+        # Every slice writes into work/out: wait for all of them before
+        # the caller may reuse either, then surface the first error.
+        errors = [future.exception() for future in futures]
+    for error in errors:
+        if error is not None:
+            raise error
+    return out

@@ -150,6 +150,7 @@ def http_sender(url: str, route: str = "/v1/predict",
                     raise
                 delay = _backoff_delay(attempt,
                                        exc.headers.get("Retry-After"))
+                exc.close()  # retrying: release the error body's socket
             except (urllib.error.URLError, ConnectionError):
                 if attempt >= max_retries:
                     raise

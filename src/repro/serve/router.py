@@ -427,6 +427,8 @@ class Router:
                 status = json.loads(exc.read()).get("status")
             except Exception:  # noqa: BLE001 — probe must not raise
                 status = None
+            finally:
+                exc.close()  # the error body holds the socket
             return False, status
         except Exception:  # noqa: BLE001 — connection refused/timeout
             return False, None
@@ -571,9 +573,10 @@ class Router:
                          if response.headers.get(name)}
                 return response.status, relay, response.read()
         except urllib.error.HTTPError as exc:
-            relay = {name: exc.headers[name] for name in _RELAY_HEADERS
-                     if exc.headers and exc.headers.get(name)}
-            return exc.code, relay, exc.read()
+            with exc:  # the error body holds the socket
+                relay = {name: exc.headers[name] for name in _RELAY_HEADERS
+                         if exc.headers and exc.headers.get(name)}
+                return exc.code, relay, exc.read()
         except Exception:  # noqa: BLE001 — refused/reset/timeout
             return None
 

@@ -38,6 +38,7 @@ from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
+from ..donn.encoding import check_encodable
 from ..obs.metrics import MetricsRegistry
 from .batching import MicroBatcher
 from .errors import DeadlineExceeded, Draining, Overloaded
@@ -225,6 +226,9 @@ class Server:
 
             self._header = read_model_header(self.artifact)
         self._model = model
+        #: Grid size raw images are encoded at (for admission checks).
+        self._grid_n = int(self._header["config"]["n"]
+                           if self._header is not None else model.config.n)
         self._metadata = dict(metadata or {})
         self._pool: Optional[ShardedPool] = None
         self._cache: Optional[ResultCache] = None
@@ -421,13 +425,16 @@ class Server:
         earlier request resolves immediately from the LRU result cache
         without touching the batcher or an engine.
 
-        A sample containing NaN or infinity raises ``ValueError`` here,
-        before admission, so it cannot fail the micro-batch it would
-        have joined.
+        A sample containing NaN or infinity, and a raw image the encoder
+        would refuse (negative intensities, or values so large that its
+        power overflows), raises ``ValueError`` here, before admission,
+        so it cannot fail the micro-batch it would have joined.
         """
         values = np.asarray(getattr(sample, "data", sample))
         if values.dtype.kind in "fc" and not np.isfinite(values).all():
             raise ValueError("sample contains NaN or infinity")
+        if values.dtype.kind != "c":
+            check_encodable(values, self._grid_n)
         self.start()
         with self._lock:
             if self._draining:

@@ -93,9 +93,15 @@ _WORKER_FAULTS: Optional[ShardFaultState] = None
 
 def _init_process_shard(artifact: str, precision: str, engine_batch: int,
                         plan: Optional[FaultPlan], shard_index: int) -> None:
-    """Pool initializer: load the artifact and compile the shard engine."""
+    """Pool initializer: load the artifact and compile the shard engine.
+
+    The FFT thread budget is pinned to one thread; shards are the unit
+    of parallelism."""
     global _WORKER_ENGINE, _WORKER_FAULTS
+    from ..backend import set_workers
     from ..utils.serialization import load_model
+
+    set_workers(1)
 
     model = load_model(artifact)
     _WORKER_ENGINE = model.inference_engine(

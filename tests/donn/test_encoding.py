@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.donn.encoding import bilinear_resize, encode_amplitude
+from repro.donn.encoding import (bilinear_resize, check_encodable,
+                                 encode_amplitude)
 
 
 class TestBilinearResize:
@@ -92,3 +93,54 @@ class TestEncodeAmplitude:
     def test_wrong_rank_rejected(self):
         with pytest.raises(ValueError):
             encode_amplitude(np.zeros((2, 3, 4, 4)), 8)
+
+    @pytest.mark.parametrize("size", [16, 40, 57])
+    def test_row_alone_equals_row_in_batch(self, size):
+        # A per-image power reduction: the batch an image is encoded in
+        # must not change its bits (the serving micro-batcher relies on
+        # this when it flushes batches of different sizes).
+        images = np.random.default_rng(5).random((40, 28, 28))
+        batch = encode_amplitude(images, size)
+        for k in range(len(images)):
+            assert np.array_equal(encode_amplitude(images[k], size)[0],
+                                  batch[k])
+        for lo, hi in ((0, 7), (3, 29), (11, 40)):
+            assert np.array_equal(encode_amplitude(images[lo:hi], size),
+                                  batch[lo:hi])
+
+    @pytest.mark.parametrize("value", [1e308, 1e200, np.nan])
+    def test_non_finite_power_rejected(self, value):
+        images = np.random.default_rng(6).random((3, 28, 28))
+        images[1] = value
+        with pytest.raises(ValueError, match="power is not finite"):
+            encode_amplitude(images, 32)
+        # Unnormalized fields keep the raw amplitude; nothing to square.
+        encode_amplitude(np.full((28, 28), 1e200), 32, normalize=False)
+
+    def test_large_but_finite_power_normalizes(self):
+        field = encode_amplitude(np.full((28, 28), 1e150), 32)
+        assert np.allclose(np.sum(np.abs(field) ** 2), 1.0)
+
+
+class TestCheckEncodable:
+    def test_ordinary_images_pass(self):
+        check_encodable(np.random.default_rng(7).random((28, 28)), 200)
+        check_encodable(np.zeros((28, 28)), 40)
+        check_encodable(np.full((28, 28), 1e150), 40)
+
+    @pytest.mark.parametrize("image", [np.full((28, 28), 1e308),
+                                       np.full((28, 28), -1.0),
+                                       np.full((28, 28), np.nan)])
+    def test_refuses_what_the_encoder_refuses(self, image):
+        with pytest.raises(ValueError) as excinfo:
+            encode_amplitude(image, 40)
+        with pytest.raises(ValueError, match=str(excinfo.value)):
+            check_encodable(image, 40)
+
+    def test_bound_is_exact_near_the_limit(self):
+        # Peaks above the cheap bound are encoded, not guessed: a 1e153
+        # image overflows at 40 x 40 only because of the grid's area.
+        peak = 1e153
+        check_encodable(np.full((1, 1), peak), 1)
+        with pytest.raises(ValueError):
+            check_encodable(np.full((28, 28), peak), 40)

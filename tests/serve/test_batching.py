@@ -199,6 +199,23 @@ class TestValidation:
             served = [f.result(timeout=10) for f in good + [last]]
         assert np.array_equal(served, model.predict(images[1:4]))
 
+    @pytest.mark.parametrize("value, match", [(1e308, "power"),
+                                              (-1.0, "non-negative")])
+    def test_unencodable_sample_rejected_before_batching(self, model,
+                                                         images, value,
+                                                         match):
+        # Finite, but the encoder would refuse it inside the batch (an
+        # overflowing power used to answer class 0 instead).
+        with serve(model, max_batch=3, max_delay=30.0) as server:
+            good = [server.submit("predict", image)
+                    for image in images[1:3]]
+            with pytest.raises(ValueError, match=match):
+                server.submit("predict", np.full((28, 28), value))
+            assert server.stats()["counters"]["requests"] == 2
+            last = server.submit("predict", images[3])
+            served = [f.result(timeout=10) for f in good + [last]]
+        assert np.array_equal(served, model.predict(images[1:4]))
+
     def test_engine_errors_propagate_to_every_waiter(self, model):
         # Wrong-shaped complex fields pass the 2-D gate but explode in
         # the engine; both waiting futures must see the error.

@@ -117,7 +117,8 @@ class TestHTTPErrors:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == status
-        return json.loads(excinfo.value.read())
+        with excinfo.value as error:  # closes the error body's socket
+            return json.loads(error.read())
 
     def test_unknown_path_404(self, served):
         _, url = served
@@ -164,6 +165,13 @@ class TestHTTPErrors:
         assert token in body
         payload = self.expect_error(url, "/v1/predict", body.encode(), 400)
         assert "NaN or infinity" in payload["error"]
+
+    def test_overflowing_inputs_400(self, served):
+        # Finite values whose encoded power overflows float64.
+        _, url = served
+        body = json.dumps({"inputs": [[1e308] * 28] * 28}).encode()
+        payload = self.expect_error(url, "/v1/predict", body, 400)
+        assert "power is not finite" in payload["error"]
 
     def test_wrong_field_shape_400(self, served):
         # A complex field whose shape does not match the grid is an

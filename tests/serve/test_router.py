@@ -7,11 +7,14 @@ hedging deterministically — ``probe_once()`` replaces the background
 prober, so no test depends on wall-clock probe timing.
 """
 
+import gc
 import json
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -265,6 +268,38 @@ class TestRouting:
         assert router.health()["status"] == "draining"
         # No replica saw the request.
         assert stubs[0].requests + stubs[1].requests == 0
+
+    def test_error_responses_are_closed(self, stubs, monkeypatch):
+        # Every HTTPError the router reads (a 503 probe, a 503 answer it
+        # fails over from) must be closed: an open error body holds the
+        # connection's socket until the garbage collector finds it.
+        seen, leaks = [], []
+        urlopen = urllib.request.urlopen
+
+        def spying_urlopen(*args, **kwargs):
+            try:
+                return urlopen(*args, **kwargs)
+            except urllib.error.HTTPError as exc:
+                seen.append(exc)
+                raise
+
+        monkeypatch.setattr(urllib.request, "urlopen", spying_urlopen)
+        monkeypatch.setattr(sys, "unraisablehook", leaks.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            stubs[0].status_script = [503] * 20
+            stubs[1].answer = {"predictions": 42}
+            router = make_router(stubs, max_failover=2)
+            for _ in range(10):
+                status, _, body = router.forward("/v1/predict", BODY)
+                assert status == 200
+                assert json.loads(body) == {"predictions": 42}
+            stubs[1].healthy = False
+            router.probe_once()
+            gc.collect()
+        assert len(seen) >= 2  # failovers and the 503 probe
+        assert all(exc.fp.closed for exc in seen)
+        assert leaks == []
 
 
 class TestCircuitBreaker:
