@@ -33,7 +33,12 @@ runtime scratch buffers.  Every propagation — forward, adjoint and the bare
 FFT work at ``pad_factor=2`` with results identical to the composed ops.
 The batch is split into row slices across the thread budget
 (:func:`repro.runtime.hop.hop_batch`); the slices are bit-identical to one
-serial pass.
+serial pass.  Each slice runs its FFT passes in place on the scratch
+plane (scipy honours ``overwrite_x``; numpy ignores it and the hop uses
+the arrays it returns) and applies the layer modulation itself: the
+forward multiplies the cropped field by ``W`` straight into the output,
+the field adjoint multiplies ``g`` by ``conj(W)`` straight into the
+plane, so neither makes a batch-sized temporary.
 
 The fast path is the default for :class:`~repro.optics.propagation.Propagator`
 and :class:`~repro.donn.layers.DiffractiveLayer`.  The :class:`fused_disabled`
@@ -146,22 +151,27 @@ def _prescaled(kernel) -> Tuple[np.ndarray, np.ndarray]:
 # The propagation pass (forward and adjoint are the same routine)
 # ----------------------------------------------------------------------
 def _propagate_padded(fields: np.ndarray, h: np.ndarray, pad: int,
-                      n: int) -> np.ndarray:
+                      n: int, pre: Optional[np.ndarray] = None,
+                      post: Optional[np.ndarray] = None) -> np.ndarray:
     """Propagate ``(batch, n, n)`` fields through ``h`` with
     :func:`~repro.runtime.hop.hop_batch` (batch slices across the thread
-    budget) on the calling thread's scratch plane.
+    budget) on the calling thread's scratch plane; ``pre`` / ``post``
+    multiply the fields before the hop and the result after it, inside
+    the slices.
 
     ``h``'s dtype sets the compute precision (the plane is allocated at
-    ``h.dtype``).  Returns a fresh contiguous array; only the plane is
-    scratch.
+    ``h.dtype``).  The plane is keyed by ``pad`` as well as its side:
+    its border rows stay zero between calls, and two geometries can
+    share a padded side but not a border.  Returns a fresh contiguous
+    array; only the plane is scratch.
     """
     from ..runtime.hop import hop_batch
 
     side = h.shape[-1]
     batch = fields.shape[0]
-    work = _scratch().empty("fused", (batch, side, side), h.dtype)
+    work = _scratch().empty(f"fused-pad{pad}", (batch, side, side), h.dtype)
     out = np.empty((batch, n, n), dtype=h.dtype)
-    return hop_batch(fields, h, pad, n, work, out)
+    return hop_batch(fields, h, pad, n, work, out, pre, post)
 
 
 def _check_field(field: Tensor, n: int) -> None:
@@ -260,9 +270,6 @@ def diffmod(
     pad = kernel.pad
     shape = field.shape
 
-    fields = field.data.reshape((-1, n, n))
-    propagated = _propagate_padded(fields, h, pad, n)
-
     # Elementwise phase math runs at the compute precision too: under
     # the single policy the float64 master weights are read through a
     # float32 view of the chain, so modulation / output / gradients are
@@ -278,13 +285,15 @@ def diffmod(
         mask = mask.astype(rdtype, copy=False)
         phi = phi * mask
     modulation = np.exp(1j * phi)
-    out_flat = propagated * modulation
+    fields = field.data.reshape((-1, n, n))
+    out_flat = _propagate_padded(fields, h, pad, n, post=modulation)
     out = out_flat.reshape(shape)
 
     def vjp_field(g):
         g = np.asarray(g)
         g = g.astype(cdtype, copy=False).reshape((-1, n, n))
-        grad = _propagate_padded(g * np.conj(modulation), h_conj, pad, n)
+        grad = _propagate_padded(g, h_conj, pad, n,
+                                 pre=np.conj(modulation))
         return grad.reshape(shape)
 
     def vjp_phase(g):

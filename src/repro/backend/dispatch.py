@@ -174,7 +174,12 @@ def _deliver(result: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
 
 def fft(x, axis: int = -1, norm: Optional[str] = None,
         overwrite_x: bool = False, workers: Optional[int] = None):
-    """1-D FFT along ``axis`` (uniform signature across backends)."""
+    """1-D FFT along ``axis`` (uniform signature across backends).
+
+    ``overwrite_x=True`` lets scipy transform ``x`` in place (also a
+    strided view) and return a view of it; numpy ignores the flag and
+    returns a fresh array.  Callers must use the returned array.
+    """
     name, module = _IMPL
     if module is not None:
         return module.fft(x, axis=axis, norm=norm, overwrite_x=overwrite_x,
@@ -184,7 +189,8 @@ def fft(x, axis: int = -1, norm: Optional[str] = None,
 
 def ifft(x, axis: int = -1, norm: Optional[str] = None,
          overwrite_x: bool = False, workers: Optional[int] = None):
-    """1-D inverse FFT along ``axis``."""
+    """1-D inverse FFT along ``axis``; ``overwrite_x`` as in :func:`fft`
+    (honoured by scipy, ignored by numpy: use the returned array)."""
     name, module = _IMPL
     if module is not None:
         return module.ifft(x, axis=axis, norm=norm, overwrite_x=overwrite_x,

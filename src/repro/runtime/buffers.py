@@ -23,7 +23,9 @@ class ScratchBuffers:
     Buffers are keyed by ``(name, shape, dtype)`` and grown on demand: a
     request for a smaller leading (batch) dimension returns a view into
     the largest buffer allocated so far, so the final short chunk of a
-    stream reuses the full-size buffer instead of allocating.
+    stream reuses the full-size buffer instead of allocating.  New
+    buffers are zero-filled, so a user that keeps part of its buffer
+    zero (the fused hop's border rows) can rely on it from the start.
 
     Storage is per-thread (``threading.local``), which makes a pool
     shared across engines — e.g. a model's pool — safe under concurrent
@@ -64,7 +66,8 @@ class ScratchBuffers:
         return buf
 
     def empty(self, name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        """A reusable buffer of ``shape`` with arbitrary contents."""
+        """A reusable buffer of ``shape`` holding whatever its last user
+        left in it (zeros when newly allocated)."""
         return self._get(name, shape, dtype)
 
     def _get(self, name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
@@ -74,7 +77,7 @@ class ScratchBuffers:
         store = self._store()
         full = store.get(key)
         if full is None or full.shape[0] < shape[0]:
-            full = np.empty(shape, dtype=dtype)
+            full = np.zeros(shape, dtype=dtype)
             store[key] = full
         return full[: shape[0]]
 

@@ -252,10 +252,10 @@ class InferenceEngine:
         chunk).
 
         The field stays on the padded grid between hops: each hop is the
-        pruned pass of :func:`~repro.runtime.hop.hop`, and the padded
-        modulation rows (zero outside the aperture columns) are applied
-        to the interior rows in place, restoring the zero border the
-        next hop relies on.
+        pruned pass of :func:`~repro.runtime.hop.hop`, which restores the
+        zero border rows, and the padded modulation rows (zero outside
+        the aperture columns) multiply the hop's interior rows back into
+        the plane, restoring the zero pad columns the next hop relies on.
         """
         n, pad, side = self.n, self._pad, self._padded_n
         work = self._buffers.zeros(
@@ -264,8 +264,7 @@ class InferenceEngine:
         work[:, pad:pad + n, pad:pad + n] = fields
         for h, modulation in zip(self._hs, self._modulation_rows):
             inner = hop(work, h, pad, n, self.workers)
-            np.multiply(inner, modulation, out=inner)
-            work[:, pad:pad + n, :] = inner
+            np.multiply(inner, modulation, out=work[:, pad:pad + n, :])
         return hop(work, self._hs[-1], pad, n, self.workers)[:, :, pad:pad + n]
 
     def _intensity_chunk(self, fields: np.ndarray) -> np.ndarray:

@@ -15,11 +15,20 @@ quarter of all FFT work with results identical to the full 2-D pass.
 Transforms run unscaled; the ortho normalization is folded into the
 prescaled transfer function (``PropagationKernel.prescaled``).
 
+Every pass runs in place on the caller's plane (``overwrite_x``, which
+scipy's pocketfft honours), so a hop allocates no plane-sized
+temporaries; it returns a view of the plane's interior rows and leaves
+the border rows zero again, which is all the next fill relies on.
+numpy's FFTs ignore ``overwrite_x`` and return fresh arrays; the hop
+uses whatever each pass returns, with the same bits.
+
 :func:`hop_batch` is the fused training op's entry point: it splits a
 batch into contiguous row slices and runs them on a process-wide thread
-pool.  Every 1-D transform and every ``H`` multiply acts on one row at a
-time, so the sliced result equals the serial one bit for bit; pocketfft
-and numpy release the GIL, so the slices really run in parallel.
+pool, with an optional elementwise multiply on the way in and out (the
+layer modulation).  Every 1-D transform and every multiply acts on one
+row at a time, so the sliced result equals the serial one bit for bit;
+pocketfft and numpy release the GIL, so the slices really run in
+parallel.
 
 This module depends only on numpy and :mod:`repro.backend.dispatch`.
 """
@@ -87,29 +96,59 @@ def hop(work: np.ndarray, h: np.ndarray, pad: int, n: int,
     """One pruned hop over the padded plane ``work`` through ``h``.
 
     ``h`` is a prescaled transfer function (its conjugate gives the
-    adjoint hop).  The interior rows of ``work`` are overwritten with
-    their row-axis spectrum; the border rows are only read, so they stay
-    zero.  Returns the propagated interior rows ``(batch, n, side)`` as a
-    fresh array; ``[..., pad:pad + n]`` of it is the cropped field.
+    adjoint hop).  ``work``'s border rows (outside ``pad:pad + n``) must
+    be zero.  Every pass asks for ``overwrite_x``: scipy honours it and
+    runs all four transforms and the ``h`` multiply in place on ``work``;
+    numpy ignores it and returns fresh arrays.  Either way the hop uses
+    the array each pass returns, so the bits are the same.  Returns the
+    propagated interior rows ``(batch, n, side)`` -- a view of ``work``
+    under scipy -- whose ``[..., pad:pad + n]`` is the cropped field.
+    The interior rows of ``work`` are left overwritten; its border rows
+    are zero again on return, also when a pass raises.
     """
     rows = slice(pad, pad + n)
-    work[:, rows, :] = _fft.fft(work[:, rows, :], axis=-1, workers=workers)
-    spectrum = _fft.fft(work, axis=-2, workers=workers)
-    np.multiply(spectrum, h, out=spectrum)
-    tall = _fft.ifft(spectrum, axis=-2, norm="forward", overwrite_x=True,
-                     workers=workers)
-    return _fft.ifft(tall[:, rows, :], axis=-1, norm="forward",
-                     overwrite_x=True, workers=workers)
+    try:
+        interior = work[:, rows, :]
+        spectrum = _fft.fft(interior, axis=-1, overwrite_x=True,
+                            workers=workers)
+        if not np.may_share_memory(spectrum, work):
+            interior[...] = spectrum  # the column pass reads the plane
+        plane = _fft.fft(work, axis=-2, overwrite_x=True, workers=workers)
+        np.multiply(plane, h, out=plane)
+        plane = _fft.ifft(plane, axis=-2, norm="forward", overwrite_x=True,
+                          workers=workers)
+        return _fft.ifft(plane[:, rows, :], axis=-1, norm="forward",
+                         overwrite_x=True, workers=workers)
+    finally:
+        work[:, :pad] = 0
+        work[:, pad + n:] = 0
 
 
 def _hop_slice(fields: np.ndarray, h: np.ndarray, pad: int, n: int,
                work: np.ndarray, out: np.ndarray, lo: int, hi: int,
-               workers: Optional[int]) -> None:
-    """Rows ``lo:hi``: zero and fill their planes, hop, crop into ``out``."""
+               workers: Optional[int], pre: Optional[np.ndarray],
+               post: Optional[np.ndarray]) -> None:
+    """Rows ``lo:hi``: fill their planes, hop, crop into ``out``.
+
+    The planes' border rows are zero (:func:`hop` restores them), so
+    only the interior rows' pad columns need clearing.  ``pre`` and
+    ``post`` multiply the fields on the way in and the cropped result
+    on the way out, row by row like every other pass.
+    """
     plane = work[lo:hi]
-    plane.fill(0)
-    plane[:, pad:pad + n, pad:pad + n] = fields[lo:hi]
-    out[lo:hi] = hop(plane, h, pad, n, workers)[:, :, pad:pad + n]
+    inner = plane[:, pad:pad + n]
+    inner[:, :, :pad] = 0
+    inner[:, :, pad + n:] = 0
+    interior = inner[:, :, pad:pad + n]
+    if pre is None:
+        interior[...] = fields[lo:hi]
+    else:
+        np.multiply(fields[lo:hi], pre, out=interior)
+    crop = hop(plane, h, pad, n, workers)[:, :, pad:pad + n]
+    if post is None:
+        out[lo:hi] = crop
+    else:
+        np.multiply(crop, post, out=out[lo:hi])
 
 
 def _submit(slices: List[tuple]) -> list:
@@ -126,12 +165,16 @@ def _submit(slices: List[tuple]) -> list:
 
 
 def hop_batch(fields: np.ndarray, h: np.ndarray, pad: int, n: int,
-              work: np.ndarray, out: np.ndarray) -> np.ndarray:
+              work: np.ndarray, out: np.ndarray,
+              pre: Optional[np.ndarray] = None,
+              post: Optional[np.ndarray] = None) -> np.ndarray:
     """Propagate ``(batch, n, n)`` fields through ``h`` into ``out``.
 
     ``work`` is a ``(batch, side, side)`` scratch plane of ``h.dtype``
-    with arbitrary contents and ``out`` the caller's ``(batch, n, n)``
-    result; both are only written row-slice by row-slice.  With a
+    whose border rows (outside ``pad:pad + n``) are zero -- they are
+    zero again on return -- and ``out`` the caller's ``(batch, n, n)``
+    result; both are only written row-slice by row-slice.  ``out`` holds
+    ``hop(fields * pre) * post`` (see :func:`_hop_slice`).  With a
     :func:`thread_budget` of ``k > 1`` the batch splits into up to ``k``
     contiguous slices of at least :data:`MIN_SLICE_ROWS` rows; the
     calling thread runs the first and pool threads the rest, each with
@@ -141,13 +184,13 @@ def hop_batch(fields: np.ndarray, h: np.ndarray, pad: int, n: int,
     batch = fields.shape[0]
     count = min(thread_budget(), batch // MIN_SLICE_ROWS)
     if count <= 1:
-        _hop_slice(fields, h, pad, n, work, out, 0, batch, None)
+        _hop_slice(fields, h, pad, n, work, out, 0, batch, None, pre, post)
         return out
     cuts = [batch * index // count for index in range(count + 1)]
-    futures = _submit([(fields, h, pad, n, work, out, lo, hi, 1)
+    futures = _submit([(fields, h, pad, n, work, out, lo, hi, 1, pre, post)
                        for lo, hi in zip(cuts[1:-1], cuts[2:])])
     try:
-        _hop_slice(fields, h, pad, n, work, out, 0, cuts[1], 1)
+        _hop_slice(fields, h, pad, n, work, out, 0, cuts[1], 1, pre, post)
     finally:
         # Every slice writes into work/out: wait for all of them before
         # the caller may reuse either, then surface the first error.

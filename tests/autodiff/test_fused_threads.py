@@ -116,7 +116,7 @@ def test_small_batches_stay_serial(monkeypatch):
     original = hop_module._hop_slice
 
     def recording(*args):
-        calls.append(args[6:])
+        calls.append(args[6:9])  # lo, hi, workers
         return original(*args)
 
     monkeypatch.setattr(hop_module, "_hop_slice", recording)

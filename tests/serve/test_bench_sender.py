@@ -125,6 +125,7 @@ class TestHTTPSenderRetries:
         send = http_sender(server.url, max_retries=2, backoff=0.01)
         with pytest.raises(urllib.error.HTTPError) as info:
             send(SAMPLE)
+        info.value.close()  # the error body holds the socket
         assert info.value.code == 429
         assert server.requests == 3  # initial try + 2 retries
 
@@ -133,6 +134,7 @@ class TestHTTPSenderRetries:
         send = http_sender(server.url, max_retries=3)
         with pytest.raises(urllib.error.HTTPError) as info:
             send(SAMPLE)
+        info.value.close()
         assert info.value.code == 400
         assert server.requests == 1
 
@@ -153,8 +155,9 @@ class TestHTTPSenderRetries:
     def test_zero_retries_means_single_attempt(self, scripted):
         server = scripted([(429, {"Retry-After": "0.01"})])
         send = http_sender(server.url, max_retries=0)
-        with pytest.raises(urllib.error.HTTPError):
+        with pytest.raises(urllib.error.HTTPError) as info:
             send(SAMPLE)
+        info.value.close()
         assert server.requests == 1
 
     def test_garbage_retry_after_falls_back_to_backoff(self, scripted):

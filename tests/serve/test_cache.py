@@ -121,8 +121,10 @@ class TestServerCache:
                     url + "/v1/predict", data=payload,
                     headers={"Content-Type": "application/json"},
                 )
-                results.append(json.loads(urllib.request.urlopen(
-                    request, timeout=30).read())["predictions"])
+                with urllib.request.urlopen(request,
+                                            timeout=30) as response:
+                    results.append(json.loads(
+                        response.read())["predictions"])
             assert results[0] == results[1]
             assert server.stats()["cache"]["hits"] == len(images)
 

@@ -173,6 +173,7 @@ class TestClusterServing:
                     headers={"Content-Type": "application/json"})
                 with pytest.raises(urllib.error.HTTPError) as info:
                     urllib.request.urlopen(request, timeout=10)
+                info.value.close()
                 assert info.value.code == 503
                 assert float(info.value.headers["Retry-After"]) > 0
                 # Each replica reports draining on its own /healthz.
@@ -182,10 +183,11 @@ class TestClusterServing:
                     for replica_id, replica_url in endpoints:
                         try:
                             urllib.request.urlopen(
-                                replica_url + "/healthz", timeout=10)
+                                replica_url + "/healthz", timeout=10).close()
                         except urllib.error.HTTPError as exc:
-                            statuses[replica_id] = json.loads(
-                                exc.read())["status"]
+                            with exc:
+                                statuses[replica_id] = json.loads(
+                                    exc.read())["status"]
                     if len(statuses) == 2:
                         break
                     time.sleep(0.05)

@@ -322,7 +322,8 @@ class TestHTTPFaultMapping:
                 return response.status, dict(response.headers), \
                     json.loads(response.read())
         except urllib.error.HTTPError as exc:
-            return exc.code, dict(exc.headers), json.loads(exc.read())
+            with exc:
+                return exc.code, dict(exc.headers), json.loads(exc.read())
 
     def test_deadline_maps_to_504(self, model, images):
         with Server(model=model) as server:
@@ -361,7 +362,8 @@ class TestHTTPFaultMapping:
             with pytest.raises(urllib.error.HTTPError) as info:
                 urllib.request.urlopen(url + "/healthz", timeout=30)
             assert info.value.code == 503
-            assert json.loads(info.value.read())["status"] == "draining"
+            with info.value as error:
+                assert json.loads(error.read())["status"] == "draining"
 
     def test_bad_deadline_maps_to_400(self, model, images):
         with Server(model=model) as server:

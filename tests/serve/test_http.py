@@ -124,6 +124,7 @@ class TestHTTPErrors:
         _, url = served
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(url + "/nope", timeout=30)
+        excinfo.value.close()
         assert excinfo.value.code == 404
 
     def test_invalid_json_400(self, served):
@@ -224,6 +225,7 @@ class TestIdentityAndDrain:
             assert payload["status"] == "draining"
             with pytest.raises(urllib.error.HTTPError) as info:
                 urllib.request.urlopen(url + "/healthz", timeout=30)
+            info.value.close()
             assert info.value.code == 503
 
     def test_retry_after_is_jittered(self, model, images):
@@ -244,6 +246,7 @@ class TestIdentityAndDrain:
                     headers={"Content-Type": "application/json"})
                 with pytest.raises(urllib.error.HTTPError) as info:
                     urllib.request.urlopen(request, timeout=30)
+                info.value.close()
                 assert info.value.code == 429
                 seen.append(float(info.value.headers["Retry-After"]))
         low, high = RETRY_AFTER_JITTER

@@ -454,6 +454,7 @@ class TestRouterHTTP:
             with pytest.raises(urllib.error.HTTPError) as info:
                 urllib.request.urlopen(frontend.url + "/healthz", timeout=10)
             assert info.value.code == 503
-            assert json.loads(info.value.read())["status"] == "draining"
+            with info.value as error:
+                assert json.loads(error.read())["status"] == "draining"
         finally:
             router.stop()
