@@ -25,7 +25,7 @@ import heapq
 import random
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     Any,
     Callable,
@@ -39,7 +39,7 @@ from typing import (
 import numpy as np
 
 from ..data import Dataset
-from ..utils.backoff import backoff_delay
+from ..utils.retry import RetryPolicy
 from .config import ExperimentConfig
 from .recipes import RECIPES, RecipeResult, prepare_data, run_recipe
 
@@ -49,6 +49,7 @@ __all__ = [
     "PointFailure",
     "PointOutcome",
     "SupervisedPool",
+    "POINT_RETRY",
     "run_table",
     "run_sweep",
 ]
@@ -156,6 +157,10 @@ class _Slot:
     deadline: Optional[float] = None
 
 
+#: Default retry policy for a point whose worker process died.
+POINT_RETRY = RetryPolicy(max_retries=2, base=0.25, cap=4.0)
+
+
 class SupervisedPool:
     """Crash-supervised process fan-out with per-point attribution.
 
@@ -167,12 +172,13 @@ class SupervisedPool:
     stdlib pool cancels everything on ``BrokenProcessPool``).
 
     The supervisor then respawns the dead slot and re-queues the point
-    with bounded jittered exponential backoff, up to ``max_retries``
-    retries.  ``timeout_s`` (optional) SIGKILLs a slot whose point
-    exceeds the budget, converting a hang into an attributable,
-    retryable crash.  Deterministic application exceptions (anything
-    that is not a process-death ``BrokenExecutor``) are *permanent*: a
-    retry would fail identically, so the point fails immediately.
+    under ``retry`` (a :class:`~repro.utils.retry.RetryPolicy`: bounded
+    retries with jittered exponential backoff).  ``timeout_s``
+    (optional) SIGKILLs a slot whose point exceeds the budget,
+    converting a hang into an attributable, retryable crash.
+    Deterministic application exceptions (anything that is not a
+    process-death ``BrokenExecutor``) are *permanent*: a retry would
+    fail identically, so the point fails immediately.
 
     ``on_event(name, **fields)`` receives ``point_retry`` /
     ``point_failed`` attribution events for observability streams.
@@ -183,10 +189,8 @@ class SupervisedPool:
         task_fn: Callable[[Any], Any],
         *,
         max_workers: int,
-        max_retries: int = 2,
+        retry: RetryPolicy = POINT_RETRY,
         timeout_s: Optional[float] = None,
-        backoff_base: float = 0.25,
-        backoff_cap: float = 4.0,
         initializer: Optional[Callable] = None,
         initargs: tuple = (),
         on_event: Optional[Callable[..., None]] = None,
@@ -194,16 +198,12 @@ class SupervisedPool:
     ) -> None:
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         if timeout_s is not None and timeout_s <= 0:
             raise ValueError(f"timeout_s must be > 0, got {timeout_s}")
         self.task_fn = task_fn
         self.max_workers = int(max_workers)
-        self.max_retries = int(max_retries)
+        self.retry = retry
         self.timeout_s = timeout_s
-        self.backoff_base = float(backoff_base)
-        self.backoff_cap = float(backoff_cap)
         self.initializer = initializer
         self.initargs = tuple(initargs)
         self.on_event = on_event
@@ -314,7 +314,8 @@ class SupervisedPool:
             message = (f"worker exceeded timeout_s={self.timeout_s}"
                        if timed_out else
                        f"worker process died: {exc}")
-            if attempt >= self.max_retries:
+            delay = self.retry.delay(attempt, self._rng)
+            if delay is None:
                 outcomes[index] = PointOutcome(
                     index=index, retries=attempt,
                     failure=PointFailure(
@@ -324,8 +325,6 @@ class SupervisedPool:
                            message=message, attempts=attempt + 1,
                            permanent=False)
             else:
-                delay = backoff_delay(attempt, self.backoff_base,
-                                      self.backoff_cap, self._rng)
                 heapq.heappush(
                     ready, (time.monotonic() + delay, index, attempt + 1))
                 self._emit("point_retry", index=index, error_type=kind,
@@ -430,7 +429,7 @@ def _map_recipes(tasks: List[tuple], data: Tuple[Dataset, Dataset],
     pool = SupervisedPool(
         _recipe_task,
         max_workers=min(int(max_workers), len(tasks)),
-        max_retries=max_retries,
+        retry=replace(POINT_RETRY, max_retries=max_retries),
         timeout_s=timeout_s,
         initializer=_init_worker,
         initargs=(data, backend_name(), get_precision().name),
@@ -522,6 +521,4 @@ def run_sweep(
 
 
 def _replace_slr(config: ExperimentConfig, **changes):
-    from dataclasses import replace
-
     return replace(config.slr, **changes)

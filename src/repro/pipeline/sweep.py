@@ -57,7 +57,7 @@ import json
 import os
 import shutil
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
@@ -74,7 +74,7 @@ from .experiment_io import (
 )
 from .recipes import run_recipe
 from .registry import get_recipe
-from .runner import SupervisedPool, _init_worker
+from .runner import POINT_RETRY, SupervisedPool, _init_worker
 from .runs import RUN_FILE, load_run, save_run
 
 __all__ = [
@@ -434,10 +434,6 @@ def read_manifest(sweep_dir: Union[str, Path]) -> Dict[str, Any]:
     return manifest
 
 
-# Backwards-compatible internal alias (pre-dates the public reader).
-_read_manifest = read_manifest
-
-
 def run_sweep_dir(
     sweep_dir: Union[str, Path],
     spec: Optional[Mapping[str, Any]] = None,
@@ -468,7 +464,7 @@ def run_sweep_dir(
     sweep_dir = Path(sweep_dir)
     say = echo if echo is not None else (lambda message: None)
     if resume:
-        manifest = _read_manifest(sweep_dir)
+        manifest = read_manifest(sweep_dir)
         spec = manifest["spec"]
     else:
         if spec is None:
@@ -593,7 +589,7 @@ def run_sweep_dir(
         pool = SupervisedPool(
             _point_task,
             max_workers=min(int(max_workers), len(todo)),
-            max_retries=max_retries,
+            retry=replace(POINT_RETRY, max_retries=max_retries),
             timeout_s=timeout_s,
             initializer=_init_worker,
             initargs=(None, backend_name(), get_precision().name),
@@ -642,7 +638,7 @@ def format_sweep(sweep_dir: Union[str, Path]) -> str:
     render byte-identical text (the chaos gate diffs exactly this).
     """
     sweep_dir = Path(sweep_dir)
-    manifest = _read_manifest(sweep_dir)
+    manifest = read_manifest(sweep_dir)
     runs_root = sweep_dir / RUNS_SUBDIR
     rows = []
     for entry in manifest["points"]:

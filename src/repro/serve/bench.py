@@ -26,11 +26,15 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..utils.backoff import backoff_delay
+from ..utils.retry import RetryPolicy
 from .server import ServeConfig, Server
 
 __all__ = ["run_load", "benchmark_serving", "benchmark_fault_recovery",
-           "benchmark_replica_recovery", "http_sender", "write_snapshot"]
+           "benchmark_replica_recovery", "http_sender", "write_snapshot",
+           "CLIENT_RETRY"]
+
+#: Default retry policy of :func:`http_sender`.
+CLIENT_RETRY = RetryPolicy(max_retries=3, base=0.05, cap=2.0)
 
 
 def _latency_stats(latencies_s: List[float], elapsed_s: float,
@@ -101,20 +105,18 @@ def run_load(
 
 def http_sender(url: str, route: str = "/v1/predict",
                 timeout: float = 30.0,
-                max_retries: int = 3,
-                backoff: float = 0.05,
-                backoff_cap: float = 2.0,
+                retry: RetryPolicy = CLIENT_RETRY,
                 deadline_ms: Optional[float] = None,
                 ) -> Callable[[np.ndarray], object]:
     """A ``send`` callable POSTing single samples to a live server.
 
     Production clients retry what the server explicitly invites them to
     retry, and so does this one: connection errors and ``429``/``503``
-    responses are retried up to ``max_retries`` times with capped,
-    jittered exponential backoff, honoring a ``Retry-After`` header
-    when the server sends one (still capped by ``backoff_cap``).
-    Anything else — 400s, 504 deadline expiries, 500s — propagates
-    immediately.  ``deadline_ms`` rides along in the request body.
+    responses are retried under ``retry`` (capped, jittered exponential
+    backoff), honoring a ``Retry-After`` header when the server sends
+    one (still capped by ``retry.cap``).  Anything else — 400s, 504
+    deadline expiries, 500s — propagates immediately.  ``deadline_ms``
+    rides along in the request body.
     """
     import urllib.error
     import urllib.request
@@ -122,13 +124,12 @@ def http_sender(url: str, route: str = "/v1/predict",
     endpoint = url.rstrip("/") + route
     jitter = random.Random(0xB0FF)
 
-    def _backoff_delay(attempt: int, retry_after: Optional[str]) -> float:
-        if retry_after is not None:
-            try:
-                return min(float(retry_after), backoff_cap)
-            except ValueError:
-                pass  # HTTP-date flavor or garbage; fall through
-        return backoff_delay(attempt, backoff, backoff_cap, jitter)
+    def _retry_after(value: Optional[str]) -> Optional[float]:
+        try:
+            seconds = float(value)
+        except (TypeError, ValueError):
+            return None  # absent, HTTP-date flavor or garbage
+        return seconds if seconds >= 0 else None  # NaN fails too
 
     def send(sample: np.ndarray):
         payload = {"inputs": np.asarray(sample).tolist()}
@@ -146,15 +147,17 @@ def http_sender(url: str, route: str = "/v1/predict",
                                             timeout=timeout) as response:
                     return json.loads(response.read())
             except urllib.error.HTTPError as exc:
-                if exc.code not in (429, 503) or attempt >= max_retries:
+                if exc.code not in (429, 503):
                     raise
-                delay = _backoff_delay(attempt,
-                                       exc.headers.get("Retry-After"))
+                delay = retry.delay(attempt, jitter, suggested=_retry_after(
+                    exc.headers.get("Retry-After")))
+                if delay is None:
+                    raise
                 exc.close()  # retrying: release the error body's socket
             except (urllib.error.URLError, ConnectionError):
-                if attempt >= max_retries:
+                delay = retry.delay(attempt, jitter)
+                if delay is None:
                     raise
-                delay = _backoff_delay(attempt, None)
             time.sleep(delay)
             attempt += 1
 

@@ -8,7 +8,8 @@ The parent supervises like :class:`~repro.serve.workers.ShardedPool`
 supervises shards: a monitor thread notices death (``Process.is_alive``
 going false — SIGKILL, ``os._exit``, OOM), respawns the replica under
 the same stable ``replica_id`` on a fresh ephemeral port, and
-quarantines it after ``max_restarts`` respawns.  Membership decisions
+quarantines it after ``max_restarts`` respawns — the same
+:class:`~repro.serve.supervision.Supervisor` budget.  Membership decisions
 (who receives traffic) belong to :class:`~repro.serve.router.Router`,
 which re-reads :meth:`endpoints` before every probe round.
 
@@ -36,12 +37,12 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import threading
-import time
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from .faults import FaultPlan, ShardFaultState, kill_process
+from .faults import ShardFaultState, kill_process
 from .server import ServeConfig, Server
+from .supervision import Supervisor, Worker
 
 __all__ = ["ReplicaSet", "REPLICA_STATES"]
 
@@ -94,36 +95,6 @@ def _replica_main(conn, artifact: str, config: ServeConfig,
         pass
 
 
-class _Replica:
-    """Parent-side record of one replica process."""
-
-    def __init__(self, index: int, replica_id: str) -> None:
-        self.index = index
-        self.id = replica_id
-        self.state = "starting"
-        self.restarts = 0
-        self.proc = None
-        self.conn = None
-        self.port: Optional[int] = None
-        self.plan: Optional[FaultPlan] = None
-
-    @property
-    def url(self) -> Optional[str]:
-        if self.port is None:
-            return None
-        return f"http://127.0.0.1:{self.port}"
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "id": self.id,
-            "index": self.index,
-            "state": self.state,
-            "restarts": self.restarts,
-            "port": self.port,
-            "pid": self.proc.pid if self.proc is not None else None,
-        }
-
-
 class ReplicaSet:
     """Supervise N process-backed Server replicas.
 
@@ -142,21 +113,23 @@ class ReplicaSet:
             raise ValueError(f"replicas must be >= 1, got {replicas}")
         self.artifact = str(artifact)
         self.config = config or ServeConfig()
-        self.max_restarts = int(max_restarts)
         self.start_timeout = float(start_timeout)
         self._ctx = multiprocessing.get_context("spawn")
         self._lock = threading.Lock()
-        self._replicas = [
-            _Replica(index, f"r{index}") for index in range(replicas)
-        ]
+        self._settled = threading.Condition(self._lock)
         plan = self.config.resolved_faults()
-        for replica in self._replicas:
-            replica.plan = plan
+        self._replicas = [
+            Worker(index, plan, "starting", id=f"r{index}", proc=None,
+                   conn=None, port=None)
+            for index in range(replicas)
+        ]
+        self._supervisor = Supervisor(self._replicas, max_restarts,
+                                      self._settled, scope="replica",
+                                      live=("ok",))
         self._started = False
         self._draining = False
         self._stop_event = threading.Event()
         self._monitor: Optional[threading.Thread] = None
-        self._settled = threading.Condition(self._lock)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -195,12 +168,12 @@ class ReplicaSet:
         atexit.register(self.stop)
         return self
 
-    def _child_config(self, replica: _Replica) -> ServeConfig:
+    def _child_config(self, replica: Worker) -> ServeConfig:
         faults = str(replica.plan) if replica.plan else None
         return replace(self.config, replica_id=replica.id, port=0,
                        host="127.0.0.1", faults=faults)
 
-    def _launch(self, replica: _Replica) -> None:
+    def _launch(self, replica: Worker) -> None:
         """Spawn one replica and wait for its ready handshake.  Runs on
         a launcher thread (start) or a respawn thread (monitor)."""
         parent_conn, child_conn = self._ctx.Pipe()
@@ -213,7 +186,6 @@ class ReplicaSet:
         proc.start()
         child_conn.close()
         ready = parent_conn.poll(self.start_timeout)
-        retry = False
         with self._lock:
             if replica.conn is not None:
                 replica.conn.close()
@@ -232,14 +204,8 @@ class ReplicaSet:
             # Startup failure (died during warmup, or hung): another
             # strike against the restart budget.
             replica.port = None
-            replica.restarts += 1
-            if replica.restarts > self.max_restarts or \
-                    self._stop_event.is_set():
-                replica.state = "quarantined"
-            else:
-                replica.state = "respawning"
-                retry = True
-            self._settled.notify_all()
+            retry = self._supervisor.strike(
+                replica, stopping=self._stop_event.is_set())
         if proc.is_alive():
             proc.kill()
         if retry:
@@ -256,26 +222,16 @@ class ReplicaSet:
                     if replica.state == "ok" and replica.proc is not None
                     and not replica.proc.is_alive()
                 ]
+                respawn = []
                 for replica in dead:
-                    replica.restarts += 1
-                    if replica.restarts > self.max_restarts:
-                        replica.state = "quarantined"
-                        replica.port = None
-                        self._settled.notify_all()
-                    else:
-                        replica.state = "respawning"
-                        replica.port = None
-                        # The fired kill (if the plan caused this death)
-                        # is consumed so the successor survives.
-                        if replica.plan is not None:
-                            replica.plan = replica.plan.without_kill(
-                                replica.index, scope="replica")
-            for replica in dead:
-                if replica.state == "respawning":
-                    threading.Thread(
-                        target=self._launch, args=(replica,),
-                        name=f"repro-replica-respawn-{replica.id}",
-                    ).start()
+                    replica.port = None
+                    if self._supervisor.strike(replica):
+                        respawn.append(replica)
+            for replica in respawn:
+                threading.Thread(
+                    target=self._launch, args=(replica,),
+                    name=f"repro-replica-respawn-{replica.id}",
+                ).start()
 
     def stop(self) -> None:
         """Stop the monitor, ask children to exit, reap stragglers."""
@@ -344,7 +300,7 @@ class ReplicaSet:
         """Live ``(replica_id, url)`` pairs — what the router routes
         to.  Respawning/quarantined replicas are absent."""
         with self._lock:
-            return [(replica.id, replica.url)
+            return [(replica.id, f"http://127.0.0.1:{replica.port}")
                     for replica in self._replicas
                     if replica.state == "ok" and replica.port is not None]
 
@@ -355,7 +311,14 @@ class ReplicaSet:
 
     def stats(self) -> Dict[str, Any]:
         with self._lock:
-            replicas = [replica.as_dict() for replica in self._replicas]
+            replicas = [
+                {"id": replica.id, "index": replica.index,
+                 "state": replica.state, "restarts": replica.restarts,
+                 "port": replica.port,
+                 "pid": (replica.proc.pid if replica.proc is not None
+                         else None)}
+                for replica in self._replicas
+            ]
         return {
             "replicas": replicas,
             "restarts": sum(replica["restarts"] for replica in replicas),
@@ -366,32 +329,19 @@ class ReplicaSet:
 
     def health(self) -> Dict[str, Any]:
         """Supervisor-level health: ``ok`` (all replicas serving),
-        ``degraded`` (some), ``unhealthy`` (none)."""
+        ``degraded`` (some), ``unhealthy`` (none), or ``draining``."""
+        with self._lock:
+            status = ("draining" if self._draining
+                      else self._supervisor.status())
         stats = self.stats()
         serving = sum(1 for replica in stats["replicas"]
                       if replica["state"] == "ok")
-        if self._draining:
-            status = "draining"
-        elif serving == len(stats["replicas"]):
-            status = "ok"
-        elif serving > 0:
-            status = "degraded"
-        else:
-            status = "unhealthy"
         return {"status": status, "serving": serving, **stats}
 
     def settle(self, timeout: float = 60.0) -> bool:
         """Wait until no replica is starting/respawning — chaos tests
         call this after a kill; ``True`` when the set settled."""
-        deadline = time.monotonic() + timeout
-        with self._settled:
-            while any(replica.state in ("starting", "respawning")
-                      for replica in self._replicas):
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._settled.wait(min(remaining, 0.25))
-            return True
+        return self._supervisor.settle(timeout)
 
     def __repr__(self) -> str:
         with self._lock:

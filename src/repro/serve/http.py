@@ -4,6 +4,9 @@ No framework, no dependency: :class:`HTTPFrontend` is a
 ``ThreadingHTTPServer`` whose handler threads block on the programmatic
 API — which routes through the micro-batcher, so concurrent HTTP clients
 are coalesced into engine batches exactly like programmatic callers.
+The replication tier's :class:`~repro.serve.router.Router` is served by
+the same frontend with a handler subclass that relays model requests
+to a replica instead.
 
 Endpoints
 ---------
@@ -27,7 +30,7 @@ encoder); pre-encoded complex fields are sent as
 header wins) — after which it fails fast with **504** instead of
 queueing forever.  Errors come back as ``{"error": "..."}``:
 
-* 400 — malformed request (bad JSON, shapes, types)
+* 400 — malformed request (bad JSON, shapes, types, ``Content-Length``)
 * 429 — admission window full (``max_inflight``); honors ``Retry-After``
 * 503 — draining, or no healthy shard left; honors ``Retry-After``
 * 504 — the request's deadline expired before a result was produced
@@ -150,7 +153,9 @@ def _parse_inputs(payload: dict) -> np.ndarray:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """One request; the serving ``Server`` hangs off the HTTP server."""
+    """One request; the app (a ``Server`` or a ``Router``) hangs off the
+    HTTP server.  Subclasses change :meth:`_model_info` (``GET
+    /v1/model``) and :meth:`_post` (every POST but ``/admin/drain``)."""
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
@@ -161,19 +166,38 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 — stdlib signature
         pass  # request logging is the operator's job, not stderr's
 
-    def _send_json(self, status: int, payload: dict,
-                   headers: Optional[Dict[str, str]] = None) -> None:
-        body = json.dumps(payload).encode("utf-8")
+    def _send(self, status: int, body: bytes,
+              headers: Dict[str, str]) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
+        for name, value in headers.items():
             self.send_header(name, value)
+        self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
 
+    def _send_json(self, status: int, payload: dict,
+                   headers: Optional[Dict[str, str]] = None) -> None:
+        self._send(status, json.dumps(payload).encode("utf-8"),
+                   {"Content-Type": "application/json", **(headers or {})})
+
     def _app(self):
         return self.server.app
+
+    def _content_length(self) -> int:
+        """The request body's length; :class:`_BadRequest` unless it is
+        a decimal integer within ``[0, _MAX_BODY]``."""
+        raw = self.headers.get("Content-Length", "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            raise _BadRequest(
+                f"Content-Length must be a non-negative integer, got {raw!r}"
+            )
+        length = int(raw)
+        if length > _MAX_BODY:
+            raise _BadRequest(
+                f"request body of {length} bytes exceeds the "
+                f"{_MAX_BODY}-byte limit"
+            )
+        return length
 
     # ------------------------------------------------------------------
     # Routes
@@ -188,47 +212,47 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(status, health)
         elif self.path == "/metrics":
             app = self._app()
-            body = app.metrics_text().encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", app.metrics.content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self._send(200, app.metrics_text().encode("utf-8"),
+                       {"Content-Type": app.metrics.content_type})
         elif self.path == "/v1/model":
-            self._send_json(200, self._app().info())
+            self._model_info()
         else:
             self._send_json(404, {"error": f"unknown path {self.path}"})
 
     def do_POST(self) -> None:  # noqa: N802 — stdlib naming
+        try:
+            length = self._content_length()
+        except _BadRequest as exc:
+            # Refusing without reading the body would leave its bytes
+            # on a keep-alive socket to be misparsed as the next
+            # request — drop the connection instead.
+            self.close_connection = True
+            self._send_json(400, {"error": str(exc)})
+            return
+        body = self.rfile.read(length) if length else b""
         if self.path == "/admin/drain":
             # Graceful drain: the request is a signal, not a payload —
-            # any body is drained off the keep-alive socket and ignored.
-            length = int(self.headers.get("Content-Length", 0))
-            if 0 < length <= _MAX_BODY:
-                self.rfile.read(length)
+            # its body was drained off the keep-alive socket and is
+            # ignored.
             self._app().begin_drain()
             self._send_json(200, {"status": "draining"})
-            return
+        else:
+            self._post(body)
+
+    def _model_info(self) -> None:
+        self._send_json(200, self._app().info())
+
+    def _post(self, body: bytes) -> None:
         route = _ROUTES.get(self.path)
         if route is None:
             self._send_json(404, {"error": f"unknown path {self.path}"})
             return
         kind, field = route
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            if length <= 0 or length > _MAX_BODY:
-                # Refusing without reading the body would leave its
-                # bytes on a keep-alive socket to be misparsed as the
-                # next request — drop the connection instead.
-                self.close_connection = True
-                if length <= 0:
-                    raise _BadRequest("empty request body")
-                raise _BadRequest(
-                    f"request body of {length} bytes exceeds the "
-                    f"{_MAX_BODY}-byte limit"
-                )
+            if not body:
+                raise _BadRequest("empty request body")
             try:
-                payload = json.loads(self.rfile.read(length))
+                payload = json.loads(body)
             except json.JSONDecodeError as exc:
                 raise _BadRequest(f"invalid JSON: {exc}") from exc
             deadline_ms = _parse_deadline_ms(
@@ -263,13 +287,16 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class HTTPFrontend:
-    """Serve a :class:`~repro.serve.Server` over HTTP on a daemon thread.
+    """Serve ``app`` over HTTP on a daemon thread.
 
-    ``port=0`` binds an ephemeral port; read the result from ``.url``.
+    ``app`` is a :class:`~repro.serve.Server` with the default
+    ``handler``; the router passes its own handler subclass.  ``port=0``
+    binds an ephemeral port; read the result from ``.url``.
     """
 
-    def __init__(self, app, host: str = "127.0.0.1", port: int = 8000) -> None:
-        self.httpd = ThreadingHTTPServer((host, port), _Handler)
+    def __init__(self, app, host: str = "127.0.0.1", port: int = 8000,
+                 handler=_Handler) -> None:
+        self.httpd = ThreadingHTTPServer((host, port), handler)
         self.httpd.daemon_threads = True
         self.httpd.app = app
         self._thread: threading.Thread | None = None
@@ -287,7 +314,8 @@ class HTTPFrontend:
     def start(self) -> "HTTPFrontend":
         if self._thread is None:
             self._thread = threading.Thread(
-                target=self.httpd.serve_forever, name="repro-serve-http",
+                target=self.httpd.serve_forever,
+                name=f"{self.httpd.RequestHandlerClass.server_version}-http",
                 daemon=True,
             )
             self._thread.start()

@@ -45,6 +45,7 @@ first answer wins (tail-latency insurance priced at one extra request).
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import threading
@@ -52,7 +53,6 @@ import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from concurrent.futures import (
     FIRST_COMPLETED,
     ThreadPoolExecutor,
@@ -61,8 +61,8 @@ from concurrent.futures import (
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs.metrics import MetricsRegistry
-from ..utils.backoff import backoff_delay
-from .http import jittered_retry_after
+from ..utils.retry import RetryPolicy
+from .http import HTTPFrontend, _Handler, jittered_retry_after
 
 __all__ = [
     "Router",
@@ -99,10 +99,9 @@ class RouterConfig:
     walk ok -> suspect -> ejected, ``rejoin_after`` consecutive
     successes walk ejected -> rejoining -> ok.
 
-    Failover: up to ``max_failover`` *additional* replicas are tried
-    per request, sleeping a jittered exponential backoff (base
-    ``failover_backoff``, cap ``failover_backoff_cap``) between
-    attempts.
+    Failover: up to ``failover.max_retries`` *additional* replicas are
+    tried per request, sleeping the ``failover`` policy's jittered
+    exponential backoff between attempts.
 
     Breaker: ``breaker_threshold`` consecutive request failures open a
     member's breaker; after ``breaker_cooldown`` seconds one half-open
@@ -116,9 +115,7 @@ class RouterConfig:
     probe_timeout: float = 2.0
     eject_after: int = 3
     rejoin_after: int = 2
-    max_failover: int = 3
-    failover_backoff: float = 0.02
-    failover_backoff_cap: float = 0.25
+    failover: RetryPolicy = RetryPolicy(max_retries=3, base=0.02, cap=0.25)
     breaker_threshold: int = 5
     breaker_cooldown: float = 1.0
     hedge_ms: Optional[float] = None
@@ -130,8 +127,6 @@ class RouterConfig:
             raise ValueError("eject_after must be >= 1")
         if self.rejoin_after < 1:
             raise ValueError("rejoin_after must be >= 1")
-        if self.max_failover < 0:
-            raise ValueError("max_failover must be >= 0")
         if self.breaker_threshold < 1:
             raise ValueError("breaker_threshold must be >= 1")
         if self.hedge_ms is not None and self.hedge_ms <= 0:
@@ -184,6 +179,17 @@ class CircuitBreaker:
             return
         self.consecutive_failures += 1
         if self.consecutive_failures >= self.threshold:
+            self.state = "open"
+            self.opened_at = time.monotonic()
+
+    def record_neutral(self) -> None:
+        """A 429: the member is healthy, just full.  Admission pressure
+        must not trip the breaker, nor clear an earlier failure streak;
+        a half-open trial that got one re-opens the breaker without
+        counting a failure."""
+        with_trial = self._trial_inflight
+        self._trial_inflight = False
+        if with_trial and self.state == "half_open":
             self.state = "open"
             self.opened_at = time.monotonic()
 
@@ -545,14 +551,7 @@ class Router:
         with self._lock:
             member.inflight = max(0, member.inflight - 1)
             if breaker_neutral:
-                # 429: the replica is healthy, just full — don't let
-                # admission pressure trip the breaker, but don't clear
-                # an earlier failure streak either.
-                with_trial = member.breaker._trial_inflight
-                member.breaker._trial_inflight = False
-                if with_trial and member.breaker.state == "half_open":
-                    member.breaker.state = "open"
-                    member.breaker.opened_at = time.monotonic()
+                member.breaker.record_neutral()
             elif success:
                 member.breaker.record_success()
             else:
@@ -580,12 +579,6 @@ class Router:
         except Exception:  # noqa: BLE001 — refused/reset/timeout
             return None
 
-    def _backoff(self, attempt: int) -> float:
-        with self._lock:
-            return backoff_delay(attempt, self.config.failover_backoff,
-                                 self.config.failover_backoff_cap,
-                                 self._backoff_rng)
-
     def _shed(self, reason: str) -> _Response:
         self._m_sheds.inc(reason=reason)
         message = ("router is draining; retry against another cluster"
@@ -604,7 +597,7 @@ class Router:
         with a non-failover status or the attempt budget runs out.
         ``tried`` is shared with a hedge, which excludes it."""
         last_response: Optional[_Response] = None
-        for attempt in range(self.config.max_failover + 1):
+        for attempt in itertools.count():
             member = self._acquire(exclude=tried)
             if member is None:
                 break
@@ -624,8 +617,12 @@ class Router:
                 self._release(member, success=(status == 429),
                               breaker_neutral=(status == 429))
                 last_response = response
-            if attempt < self.config.max_failover:
-                time.sleep(self._backoff(attempt))
+            with self._lock:
+                delay = self.config.failover.delay(attempt,
+                                                   self._backoff_rng)
+            if delay is None:
+                break
+            time.sleep(delay)
         if last_response is not None:
             return last_response
         return self._shed("no_healthy_replicas")
@@ -684,8 +681,6 @@ class Router:
         else:
             self._m_hedges.inc(outcome="lost")
         loser.cancel()
-        if winner not in done:  # both timed out: wait on the primary
-            return winner.result()
         return winner.result()
 
     # ------------------------------------------------------------------
@@ -742,11 +737,12 @@ class Router:
         return self.metrics.render()
 
     def serve_http(self, host: str = "127.0.0.1",
-                   port: int = 8000) -> "RouterFrontend":
+                   port: int = 8000) -> HTTPFrontend:
         """Expose the router over HTTP (daemon thread; ``port=0`` binds
         an ephemeral port — read ``.url``)."""
         if self._http is None:
-            self._http = RouterFrontend(self, host=host, port=port).start()
+            self._http = HTTPFrontend(self, host=host, port=port,
+                                      handler=_RouterHandler).start()
         return self._http
 
     def __repr__(self) -> str:
@@ -756,106 +752,22 @@ class Router:
         return f"Router(members={states}, draining={self._draining})"
 
 
-class _RouterHandler(BaseHTTPRequestHandler):
-    """Relay handler: router-owned paths answered locally, model paths
-    forwarded to a replica and relayed byte-for-byte."""
+class _RouterHandler(_Handler):
+    """Relay handler: ``/healthz``, ``/metrics`` and ``/admin/drain``
+    are the router's own (inherited); ``GET /v1/model`` and every other
+    POST are forwarded to a replica and relayed byte-for-byte."""
 
-    protocol_version = "HTTP/1.1"
     server_version = "repro-router"
-
-    def log_message(self, format, *args):  # noqa: A002 — stdlib signature
-        pass
-
-    def _router(self) -> Router:
-        return self.server.router
 
     def _relay(self, response: _Response) -> None:
         status, headers, body = response
-        self.send_response(status)
-        headers = dict(headers)
-        headers.setdefault("Content-Type", "application/json")
-        headers["Content-Length"] = str(len(body))
-        for name, value in headers.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(status, body, {"Content-Type": "application/json",
+                                  **headers})
 
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode()
-        self._relay((status, {"Content-Type": "application/json"}, body))
+    def _model_info(self) -> None:
+        self._relay(self._app().forward(self.path, method="GET"))
 
-    def do_GET(self) -> None:  # noqa: N802 — stdlib naming
-        router = self._router()
-        if self.path == "/healthz":
-            health = router.health()
-            status = 200 if health["status"] in ("ok", "degraded") else 503
-            self._send_json(status, health)
-        elif self.path == "/metrics":
-            body = router.metrics_text().encode()
-            self.send_response(200)
-            self.send_header("Content-Type", router.metrics.content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        elif self.path == "/v1/model":
-            self._relay(router.forward(self.path, method="GET"))
-        else:
-            self._send_json(404, {"error": f"unknown path {self.path}"})
-
-    def do_POST(self) -> None:  # noqa: N802 — stdlib naming
-        router = self._router()
-        length = int(self.headers.get("Content-Length", 0))
-        if self.path == "/admin/drain":
-            if 0 < length <= 64 * 1024 * 1024:
-                self.rfile.read(length)
-            router.begin_drain()
-            self._send_json(200, {"status": "draining"})
-            return
-        if length < 0 or length > 64 * 1024 * 1024:
-            self.close_connection = True
-            self._send_json(400, {"error": "request body too large"})
-            return
-        body = self.rfile.read(length) if length else b""
+    def _post(self, body: bytes) -> None:
         headers = {name: self.headers[name] for name in _FORWARD_HEADERS
                    if self.headers.get(name)}
-        self._relay(router.forward(self.path, body, headers))
-
-
-class RouterFrontend:
-    """The router's own HTTP face (mirrors
-    :class:`~repro.serve.http.HTTPFrontend`)."""
-
-    def __init__(self, router: Router, host: str = "127.0.0.1",
-                 port: int = 8000) -> None:
-        self.httpd = ThreadingHTTPServer((host, port), _RouterHandler)
-        self.httpd.daemon_threads = True
-        self.httpd.router = router
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        host, port = self.httpd.server_address[:2]
-        return str(host), int(port)
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def start(self) -> "RouterFrontend":
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self.httpd.serve_forever, name="repro-router-http",
-                daemon=True)
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._thread is not None:
-            self.httpd.shutdown()
-            self._thread.join(timeout=10)
-            self._thread = None
-        self.httpd.server_close()
-
-    def __repr__(self) -> str:
-        return f"RouterFrontend(url={self.url!r})"
+        self._relay(self._app().forward(self.path, body, headers))

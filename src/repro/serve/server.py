@@ -32,7 +32,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -44,7 +44,7 @@ from .batching import MicroBatcher
 from .errors import DeadlineExceeded, Draining, Overloaded
 from .faults import FaultPlan
 from .store import resolve_artifact
-from .workers import REQUEST_KINDS, ShardedPool
+from .workers import REQUEST_KINDS, SHARD_RETRY, ShardedPool
 
 __all__ = ["ServeConfig", "Server", "ResultCache"]
 
@@ -313,7 +313,7 @@ class Server:
                 precision=self.resolved_precision(),
                 engine_batch=cfg.resolved_engine_batch(),
                 faults=cfg.resolved_faults(),
-                max_retries=cfg.max_retries,
+                retry=replace(SHARD_RETRY, max_retries=cfg.max_retries),
                 max_restarts=cfg.max_restarts,
                 metrics=self.metrics,
             )

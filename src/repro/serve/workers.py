@@ -38,9 +38,11 @@ poisons the pool.  The shard walks a small state machine::
                       ▼                                ▼
                  quarantined                           ok
 
-and the failed batch is retried on a healthy shard with a bounded,
-jittered exponential backoff (``max_retries`` attempts beyond the
-first; a request deadline caps the budget early).  Application-level
+The restart-or-quarantine decision is the shared
+:class:`~repro.serve.supervision.Supervisor`'s.  The failed batch is
+retried on a healthy shard under the pool's
+:class:`~repro.utils.retry.RetryPolicy` (:data:`SHARD_RETRY` by
+default; a request deadline ends the budget early).  Application-level
 errors — bad shapes, :class:`~repro.serve.errors.FaultInjected` —
 propagate to the caller untouched: only worker *death* is retried,
 because only death says nothing about the request itself.
@@ -67,17 +69,24 @@ from typing import Any, Dict, List, Optional, Union
 import numpy as np
 
 from ..obs.metrics import MetricsRegistry
-from ..utils.backoff import backoff_delay
+from ..utils.retry import RetryPolicy
 from .errors import DeadlineExceeded, NoHealthyShards, ShardCrash
 from .faults import FaultPlan, ShardFaultState, kill_process
+from .supervision import Supervisor, Worker
 
-__all__ = ["ShardedPool", "REQUEST_KINDS", "SHARD_STATES"]
+__all__ = ["ShardedPool", "REQUEST_KINDS", "SHARD_STATES", "SHARD_RETRY"]
 
 #: Engine methods a pool (and the batching frontend above it) can run.
 REQUEST_KINDS = ("logits", "predict", "intensity_map")
 
 #: The supervision state machine (see module docstring).
 SHARD_STATES = ("ok", "respawning", "recovering", "quarantined")
+
+#: States that take new batches.
+_AVAILABLE = ("ok", "recovering")
+
+#: Default retry policy for a batch whose shard died.
+SHARD_RETRY = RetryPolicy(max_retries=3, base=0.05, cap=1.0)
 
 _BACKENDS = ("thread", "process")
 
@@ -122,24 +131,6 @@ def _raise_shard_crash() -> None:
     raise ShardCrash("injected shard kill (thread backend)")
 
 
-class _Shard:
-    """One worker (an executor with exactly one slot) + supervision state."""
-
-    def __init__(self, index: int, executor, run,
-                 plan: Optional[FaultPlan]) -> None:
-        self.index = index
-        self.executor = executor
-        self.run = run
-        self.plan = plan  # remaining fault plan (kills are consumed)
-        self.state = "ok"
-        self.restarts = 0
-        self.inflight = 0
-        self.dispatched = 0
-
-    def available(self) -> bool:
-        return self.state in ("ok", "recovering")
-
-
 class ShardedPool:
     """Dispatch inference batches across ``shards`` engine workers.
 
@@ -160,15 +151,13 @@ class ShardedPool:
     faults:
         An optional :class:`~repro.serve.faults.FaultPlan` (chaos
         testing; see that module).
-    max_retries:
-        How many times one batch may be re-dispatched after a fatal
-        shard failure before the error propagates.
+    retry:
+        The :class:`~repro.utils.retry.RetryPolicy` for a batch whose
+        shard died: how often it is re-dispatched before the error
+        propagates, and the jittered backoff between dispatches.
     max_restarts:
         How many times one shard may be respawned before it is
         quarantined (removed from dispatch for the pool's lifetime).
-    backoff_base, backoff_cap:
-        Jittered exponential retry backoff: attempt ``k`` sleeps
-        ``min(cap, base * 2**k)`` scaled by a uniform [0.5, 1) jitter.
     """
 
     def __init__(
@@ -180,10 +169,8 @@ class ShardedPool:
         precision: str = "double",
         engine_batch: int = 64,
         faults: Optional[FaultPlan] = None,
-        max_retries: int = 3,
+        retry: RetryPolicy = SHARD_RETRY,
         max_restarts: int = 2,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 1.0,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if backend not in _BACKENDS:
@@ -194,24 +181,20 @@ class ShardedPool:
             raise ValueError(f"shards must be >= 1, got {shards}")
         if model is None and artifact is None:
             raise ValueError("ShardedPool needs a model or an artifact path")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if max_restarts < 0:
-            raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
         self.shards = int(shards)
         self.backend = backend
         self.precision = precision
         self.engine_batch = int(engine_batch)
-        self.max_retries = int(max_retries)
-        self.max_restarts = int(max_restarts)
-        self.backoff_base = float(backoff_base)
-        self.backoff_cap = float(backoff_cap)
+        self.retry = retry
         self._jitter = random.Random(0x5EED)
         self._lock = threading.Lock()
         self._state_changed = threading.Condition(self._lock)
         self._rr = itertools.count()
         self._closed = False
-        self._shards: List[_Shard] = []
+        self._shards: List[Worker] = []
+        self._supervisor = Supervisor(
+            self._shards, max_restarts, self._state_changed, scope="shard",
+            live=("ok", "respawning", "recovering"))
         self.failures = 0  # fatal shard failures observed
         self.retries = 0   # batches re-dispatched after a failure
 
@@ -233,7 +216,8 @@ class ShardedPool:
         for index in range(self.shards):
             plan = faults if faults else None
             executor, run = self._build_worker(index, plan)
-            self._shards.append(_Shard(index, executor, run, plan))
+            self._shards.append(Worker(index, plan, "ok", executor=executor,
+                                       run=run, inflight=0, dispatched=0))
 
         self._metrics = metrics
         if metrics is not None:
@@ -315,7 +299,7 @@ class ShardedPool:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _acquire(self, deadline: Optional[float]) -> _Shard:
+    def _acquire(self, deadline: Optional[float]) -> Worker:
         """Pick the least-loaded available shard (round-robin between
         ties), waiting out transient all-shards-respawning windows.
 
@@ -326,13 +310,13 @@ class ShardedPool:
         while True:
             if self._closed:
                 raise RuntimeError("pool is closed")
-            available = [s for s in self._shards if s.available()]
+            available = [s for s in self._shards if s.state in _AVAILABLE]
             if available:
                 start = next(self._rr) % self.shards
                 best = None
                 for offset in range(self.shards):
                     shard = self._shards[(start + offset) % self.shards]
-                    if not shard.available():
+                    if shard.state not in _AVAILABLE:
                         continue
                     if best is None or shard.inflight < best.inflight:
                         best = shard
@@ -433,39 +417,31 @@ class ShardedPool:
     # ------------------------------------------------------------------
     # Supervision: respawn + retry
     # ------------------------------------------------------------------
-    def _on_fatal(self, shard: _Shard, executor, exc: BaseException,
+    def _on_fatal(self, shard: Worker, executor, exc: BaseException,
                   kind: str, fields: np.ndarray, outer: Future,
                   attempt: int, deadline: Optional[float]) -> None:
         with self._state_changed:
             self.failures += 1
-            if shard.available() and shard.executor is executor:
+            if shard.state in _AVAILABLE and shard.executor is executor:
                 # First detector of this death owns the respawn; every
                 # other in-flight batch on the broken executor only
                 # retries (including stragglers that were queued on an
                 # executor the supervisor has already replaced — their
                 # death is the *old* incarnation's, not a new one).
-                shard.state = "respawning"
-                shard.restarts += 1
-                self._state_changed.notify_all()
+                self._supervisor.strike(shard, stopping=self._closed)
                 threading.Thread(
-                    target=self._respawn, args=(shard,),
+                    target=self._respawn, args=(shard, executor),
                     name=f"repro-shard-{shard.index}-respawn", daemon=True,
                 ).start()
-            if attempt >= self.max_retries:
-                retry = False
-            else:
-                retry = True
+            delay = self.retry.delay(attempt, self._jitter, deadline)
+            if delay is not None:
                 self.retries += 1
-        if not retry:
+        if delay is None:
+            if attempt < self.retry.max_retries:  # the deadline refused
+                exc = DeadlineExceeded(
+                    f"deadline expired before retry {attempt + 1} "
+                    f"(shard failure: {exc})")
             self._resolve(outer, exc=exc)
-            return
-        delay = backoff_delay(attempt, self.backoff_base, self.backoff_cap,
-                              self._jitter)
-        if deadline is not None and time.monotonic() + delay > deadline:
-            self._resolve(outer, exc=DeadlineExceeded(
-                f"deadline expired before retry {attempt + 1} "
-                f"(shard failure: {exc})"
-            ))
             return
         timer = threading.Timer(
             delay, self._attempt, args=(kind, fields, outer, attempt + 1,
@@ -474,23 +450,16 @@ class ShardedPool:
         timer.daemon = True
         timer.start()
 
-    def _respawn(self, shard: _Shard) -> None:
+    def _respawn(self, shard: Worker, dead) -> None:
         """Replace a dead shard's executor (supervisor thread)."""
-        shard.executor.shutdown(wait=False)
+        dead.shutdown(wait=False)
         with self._state_changed:
-            quarantine = shard.restarts > self.max_restarts or self._closed
-            if quarantine:
-                shard.state = "quarantined"
-                self._state_changed.notify_all()
-                return
-            # One configured kill dies exactly once: the respawned
-            # worker gets the plan minus the kill that just fired.
-            plan = shard.plan.without_kill(shard.index) if shard.plan \
-                else None
-            shard.plan = plan
+            if shard.state != "respawning":
+                return  # quarantined
+            plan = shard.plan
         executor, run = self._build_worker(shard.index, plan)
         with self._state_changed:
-            if self._closed:
+            if self._closed:  # closed mid-respawn: nothing dispatches
                 executor.shutdown(wait=False)
                 shard.state = "quarantined"
             else:
@@ -506,14 +475,7 @@ class ShardedPool:
         to ``ok`` once traffic reaches it.  Returns ``True`` when
         settled.
         """
-        end = time.monotonic() + timeout
-        with self._state_changed:
-            while any(s.state == "respawning" for s in self._shards):
-                remaining = end - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._state_changed.wait(remaining)
-            return True
+        return self._supervisor.settle(timeout)
 
     def run(self, kind: str, fields) -> np.ndarray:
         """Synchronous :meth:`submit`."""
@@ -570,13 +532,7 @@ class ShardedPool:
                 for shard in self._shards
             ]
             failures, retries = self.failures, self.retries
-        states = [entry["state"] for entry in shards]
-        if all(state == "quarantined" for state in states):
-            status = "unhealthy"
-        elif all(state == "ok" for state in states):
-            status = "ok"
-        else:
-            status = "degraded"
+            status = self._supervisor.status()
         return {
             "status": status,
             "shards": shards,

@@ -2,10 +2,15 @@
 
 import os
 import time
+import types
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.pipeline import runner
 from repro.pipeline.runner import PointFailure, PointOutcome, SupervisedPool
+from repro.utils.retry import RetryPolicy
 
 # Module-level task functions so ProcessPoolExecutor can pickle them.
 
@@ -40,11 +45,11 @@ def _hang_once(payload):
     return x + 1
 
 
-def pool(task_fn, **kwargs):
+def pool(task_fn, max_retries=2, **kwargs):
     kwargs.setdefault("max_workers", 2)
-    kwargs.setdefault("backoff_base", 0.01)
-    kwargs.setdefault("backoff_cap", 0.05)
-    return SupervisedPool(task_fn, **kwargs)
+    return SupervisedPool(
+        task_fn, retry=RetryPolicy(max_retries, base=0.01, cap=0.05),
+        **kwargs)
 
 
 class TestHappyPath:
@@ -57,7 +62,8 @@ class TestHappyPath:
         with pytest.raises(ValueError, match="max_workers"):
             SupervisedPool(_double, max_workers=0)
         with pytest.raises(ValueError, match="max_retries"):
-            SupervisedPool(_double, max_workers=1, max_retries=-1)
+            SupervisedPool(_double, max_workers=1,
+                           retry=RetryPolicy(-1, base=0.25, cap=4.0))
         with pytest.raises(ValueError, match="timeout_s"):
             SupervisedPool(_double, max_workers=1, timeout_s=0)
 
@@ -153,3 +159,21 @@ class TestOutcomeShape:
         failure = PointFailure(index=0, error_type="crash", message="m",
                                attempts=1, permanent=False)
         assert not PointOutcome(index=0, failure=failure).ok
+
+
+class TestRetryDelays:
+    def test_default_delays_are_pinned(self, monkeypatch):
+        # The default policy with seed 0 queues the exact delays the
+        # pre-policy loop drew (tests/utils/test_retry.py derives them).
+        monkeypatch.setattr(runner, "time",
+                            types.SimpleNamespace(monotonic=lambda: 0.0))
+        supervised = SupervisedPool(_double, max_workers=1)
+        outcomes, ready = [None], []
+        for attempt in range(3):
+            future = Future()
+            future.set_exception(BrokenProcessPool("worker died"))
+            slot = runner._Slot(future=future, index=0, attempt=attempt)
+            supervised._collect(slot, outcomes, ready)
+        assert sorted(entry[0] for entry in ready) == [
+            0.23055273144063101, 0.4394886007350756]
+        assert outcomes[0].failure.attempts == 3

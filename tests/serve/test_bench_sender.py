@@ -11,12 +11,15 @@ import json
 import socket
 import threading
 import time
+import types
 import urllib.error
 
 import numpy as np
 import pytest
 
+from repro.serve import bench
 from repro.serve.bench import http_sender
+from repro.utils.retry import RetryPolicy
 
 SAMPLE = np.zeros((2, 2))
 
@@ -93,14 +96,13 @@ def scripted():
 class TestHTTPSenderRetries:
     def test_429_retried_until_success(self, scripted):
         server = scripted([(429, {"Retry-After": "0.01"})] * 2)
-        send = http_sender(server.url, max_retries=3, backoff=0.01)
+        send = http_sender(server.url, retry=RetryPolicy(3, 0.01, 2.0))
         assert send(SAMPLE)["predictions"] == [7]
         assert server.requests == 3
 
     def test_retry_after_header_is_honored(self, scripted):
         server = scripted([(429, {"Retry-After": "0.2"})])
-        send = http_sender(server.url, max_retries=1, backoff=0.001,
-                           backoff_cap=5.0)
+        send = http_sender(server.url, retry=RetryPolicy(1, 0.001, 5.0))
         start = time.monotonic()
         assert send(SAMPLE)["predictions"] == [7]
         # One retry, told to wait 0.2s: far above the 0.002s the
@@ -109,20 +111,20 @@ class TestHTTPSenderRetries:
 
     def test_retry_after_capped_by_backoff_cap(self, scripted):
         server = scripted([(503, {"Retry-After": "30"})])
-        send = http_sender(server.url, max_retries=1, backoff_cap=0.05)
+        send = http_sender(server.url, retry=RetryPolicy(1, 0.05, 0.05))
         start = time.monotonic()
         assert send(SAMPLE)["predictions"] == [7]
         assert time.monotonic() - start < 2.0
 
     def test_503_during_drain_retried(self, scripted):
         server = scripted([(503, {"Retry-After": "0.01"})] * 2)
-        send = http_sender(server.url, max_retries=2, backoff=0.01)
+        send = http_sender(server.url, retry=RetryPolicy(2, 0.01, 2.0))
         assert send(SAMPLE)["predictions"] == [7]
         assert server.requests == 3
 
     def test_retry_budget_exhausted_raises(self, scripted):
         server = scripted([(429, {"Retry-After": "0.01"})] * 5)
-        send = http_sender(server.url, max_retries=2, backoff=0.01)
+        send = http_sender(server.url, retry=RetryPolicy(2, 0.01, 2.0))
         with pytest.raises(urllib.error.HTTPError) as info:
             send(SAMPLE)
         info.value.close()  # the error body holds the socket
@@ -131,7 +133,7 @@ class TestHTTPSenderRetries:
 
     def test_client_errors_propagate_immediately(self, scripted):
         server = scripted([(400, {})])
-        send = http_sender(server.url, max_retries=3)
+        send = http_sender(server.url, retry=RetryPolicy(3, 0.05, 2.0))
         with pytest.raises(urllib.error.HTTPError) as info:
             send(SAMPLE)
         info.value.close()
@@ -145,23 +147,50 @@ class TestHTTPSenderRetries:
         port = probe.getsockname()[1]
         probe.close()
         send = http_sender(f"http://127.0.0.1:{port}",
-                           max_retries=2, backoff=0.01)
+                           retry=RetryPolicy(2, 0.01, 2.0))
         start = time.monotonic()
         with pytest.raises(urllib.error.URLError):
             send(SAMPLE)
         # Two backoff sleeps happened before giving up.
         assert time.monotonic() - start >= 0.01
 
+    def test_default_delays_are_pinned(self, monkeypatch):
+        # The default policy sleeps the exact delays the pre-policy loop
+        # drew from its 0xB0FF rng, then gives up.
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        waits = []
+        monkeypatch.setattr(bench, "time",
+                            types.SimpleNamespace(sleep=waits.append))
+        send = http_sender(f"http://127.0.0.1:{port}")
+        with pytest.raises(urllib.error.URLError):
+            send(SAMPLE)
+        assert waits == [0.047100141459202015, 0.09655682008961379,
+                         0.1886544271413996]
+
     def test_zero_retries_means_single_attempt(self, scripted):
         server = scripted([(429, {"Retry-After": "0.01"})])
-        send = http_sender(server.url, max_retries=0)
+        send = http_sender(server.url, retry=RetryPolicy(0, 0.05, 2.0))
         with pytest.raises(urllib.error.HTTPError) as info:
             send(SAMPLE)
         info.value.close()
         assert server.requests == 1
 
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_out_of_range_retry_after_falls_back_to_backoff(self, scripted,
+                                                            value):
+        # Neither is a wait time.sleep accepts.
+        server = scripted([(429, {"Retry-After": value})])
+        send = http_sender(server.url, retry=RetryPolicy(1, 0.01, 2.0))
+        start = time.monotonic()
+        assert send(SAMPLE)["predictions"] == [7]
+        assert server.requests == 2
+        assert time.monotonic() - start < 1.0  # the jittered 10 ms band
+
     def test_garbage_retry_after_falls_back_to_backoff(self, scripted):
         server = scripted([(429, {"Retry-After": "soon"})])
-        send = http_sender(server.url, max_retries=1, backoff=0.01)
+        send = http_sender(server.url, retry=RetryPolicy(1, 0.01, 2.0))
         assert send(SAMPLE)["predictions"] == [7]
         assert server.requests == 2

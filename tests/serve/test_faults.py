@@ -9,6 +9,7 @@ errors the HTTP layer maps to 429/503/504.
 """
 
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -30,6 +31,7 @@ from repro.serve import (
     Server,
     ShardedPool,
 )
+from repro.utils.retry import RetryPolicy
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +178,8 @@ class TestSupervision:
 
     def test_all_quarantined_raises_no_healthy_shards(self, model, images):
         pool = ShardedPool(model=model, shards=1, max_restarts=0,
-                           max_retries=0,
+                           retry=RetryPolicy(max_retries=0, base=0.05,
+                                             cap=1.0),
                            faults=FaultPlan.parse("kill:shard=0"))
         try:
             with pytest.raises(Exception):
@@ -192,8 +195,10 @@ class TestSupervision:
         # More deaths than the retry budget: the caller sees the fatal
         # error instead of the pool spinning forever.
         plan = FaultPlan.parse("; ".join(["kill:shard=0"] * 4))
-        pool = ShardedPool(model=model, shards=1, max_retries=1,
-                           max_restarts=10, backoff_base=0.005, faults=plan)
+        pool = ShardedPool(model=model, shards=1,
+                           retry=RetryPolicy(max_retries=1, base=0.005,
+                                             cap=1.0),
+                           max_restarts=10, faults=plan)
         try:
             with pytest.raises(Exception) as info:
                 pool.run("predict", images[:1])
@@ -202,6 +207,25 @@ class TestSupervision:
             assert pool.retries == 1
         finally:
             pool.close()
+
+    def test_retry_delays_are_pinned(self, model, images, monkeypatch):
+        # Three deaths of the only shard: the batch waits out the exact
+        # delays the pre-policy loop drew from its 0x5EED rng.
+        waits = []
+
+        class RecordingTimer(threading.Timer):
+            def __init__(self, interval, *args, **kwargs):
+                waits.append(interval)
+                super().__init__(interval, *args, **kwargs)
+
+        monkeypatch.setattr(threading, "Timer", RecordingTimer)
+        plan = FaultPlan.parse("; ".join(["kill:shard=0"] * 3))
+        with ShardedPool(model=model, shards=1, max_restarts=3,
+                         faults=plan) as pool:
+            assert np.array_equal(pool.run("predict", images[:1]),
+                                  model.predict(images[:1]))
+        assert waits == [0.028543929914973083, 0.08066416919516453,
+                         0.1196071793023176]
 
     def test_error_fault_propagates_without_respawn(self, model, images):
         # Application-level failures are the request's problem, not the

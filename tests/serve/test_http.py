@@ -1,7 +1,9 @@
 """End-to-end HTTP/JSON frontend tests (real sockets, ephemeral ports)."""
 
+import http.client
 import json
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import numpy as np
@@ -42,6 +44,29 @@ def post(url, path, payload, timeout=30):
 def get(url, path, timeout=30):
     with urllib.request.urlopen(url + path, timeout=timeout) as response:
         return response.status, json.loads(response.read())
+
+
+def post_with_length(url, path, content_length, timeout=30):
+    """POST with a verbatim ``Content-Length`` header and no body."""
+    address = urllib.parse.urlsplit(url)
+    conn = http.client.HTTPConnection(address.hostname, address.port,
+                                      timeout=timeout)
+    try:
+        conn.putrequest("POST", path)
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", content_length)
+        conn.endheaders()
+        with conn.getresponse() as response:
+            return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+#: Bad ``Content-Length`` values and a fragment of the 400 message each
+#: must produce, on the server's and on the router's frontend alike.
+BAD_LENGTHS = [("abc", "non-negative integer"),
+               ("-5", "non-negative integer"),
+               (str(2 ** 40), "exceeds")]
 
 
 class TestEndpoints:
@@ -185,6 +210,17 @@ class TestHTTPErrors:
                 "inputs_imag": [[0.0, 0.0], [0.0, 0.0]],
             }).encode(), 400,
         )
+
+
+class TestContentLength:
+    @pytest.mark.parametrize("path", ["/v1/predict", "/admin/drain"])
+    @pytest.mark.parametrize("value,message", BAD_LENGTHS)
+    def test_bad_length_400(self, served, path, value, message):
+        _, url = served
+        status, payload = post_with_length(url, path, value)
+        assert status == 400
+        assert message in payload["error"]
+        assert get(url, "/healthz")[1]["status"] == "ok"  # no drain
 
 
 class TestIdentityAndDrain:

@@ -8,10 +8,12 @@ prober, so no test depends on wall-clock probe timing.
 """
 
 import gc
+import http.client
 import json
 import sys
 import threading
 import time
+import types
 import urllib.error
 import urllib.request
 import warnings
@@ -20,6 +22,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from repro.obs.metrics import parse_prometheus
+from repro.serve import router as router_module
 from repro.serve.router import (
     BREAKER_STATES,
     MEMBER_STATES,
@@ -27,6 +30,7 @@ from repro.serve.router import (
     Router,
     RouterConfig,
 )
+from repro.utils.retry import RetryPolicy
 
 
 class StubReplica:
@@ -116,9 +120,10 @@ def stubs():
         stub.stop()
 
 
-def make_router(stubs, **overrides):
+def make_router(stubs, max_failover=3, **overrides):
     defaults = dict(rejoin_after=1, eject_after=2,
-                    failover_backoff=0.001, failover_backoff_cap=0.005,
+                    failover=RetryPolicy(max_failover, base=0.001,
+                                         cap=0.005),
                     probe_timeout=2.0)
     defaults.update(overrides)
     router = Router(
@@ -330,6 +335,25 @@ class TestCircuitBreaker:
         breaker.record_failure()
         assert breaker.state == "open"
 
+    def test_429_on_half_open_trial_reopens_without_a_failure(self):
+        breaker = CircuitBreaker(threshold=2, cooldown=0.02)
+        breaker.record_failure()
+        breaker.record_neutral()  # closed: the streak is kept, not reset
+        assert breaker.state == "closed"
+        assert breaker.consecutive_failures == 1
+        breaker.record_failure()
+        assert breaker.state == "open"
+        time.sleep(0.03)
+        assert breaker.allow() and breaker.state == "half_open"
+        opened_at = breaker.opened_at
+        breaker.record_neutral()
+        assert breaker.state == "open"
+        assert breaker.opened_at > opened_at  # a fresh cooldown
+        assert breaker.consecutive_failures == 2
+        assert not breaker.allow()
+        time.sleep(0.03)
+        assert breaker.allow()  # the trial slot was released
+
     def test_sick_replica_sheds_load_then_recovers(self, stubs):
         stubs[0].status_script = [500] * 100
         stubs[1].answer = {"predictions": 1}
@@ -358,6 +382,24 @@ class TestCircuitBreaker:
         state = {m["id"]: m["breaker"]
                  for m in router.health()["replicas"]}
         assert state["s0"] == "closed"
+
+
+class TestFailoverDelays:
+    def test_default_delays_are_pinned(self, stubs, monkeypatch):
+        # Both replicas fail: the router sleeps the exact delays the
+        # pre-policy loop drew from its 0xF417 rng between attempts.
+        waits = []
+        monkeypatch.setattr(router_module, "time", types.SimpleNamespace(
+            sleep=waits.append, monotonic=time.monotonic))
+        for stub in stubs:
+            stub.status_script = [500]
+        router = Router(
+            endpoints=[(f"s{i}", stub.url) for i, stub in enumerate(stubs)],
+            config=RouterConfig(rejoin_after=1))
+        router.probe_once()
+        status, _, _ = router.forward("/v1/predict", BODY)
+        assert status == 500
+        assert waits == [0.013099811844771433, 0.02521072763523402]
 
 
 class TestHedging:
@@ -440,6 +482,28 @@ class TestRouterHTTP:
                 assert parsed["repro_router_replica_state"][
                     "samples"][sample] == 1
         finally:
+            router.stop()
+
+    @pytest.mark.parametrize("path", ["/v1/predict", "/admin/drain"])
+    @pytest.mark.parametrize("value,message", [
+        ("abc", "non-negative integer"), ("-5", "non-negative integer"),
+        (str(2 ** 40), "exceeds")])
+    def test_bad_content_length_400(self, stubs, path, value, message):
+        router = make_router(stubs)
+        frontend = router.serve_http(port=0)
+        host, port = frontend.address
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.putrequest("POST", path)
+            conn.putheader("Content-Length", value)
+            conn.endheaders()
+            with conn.getresponse() as response:
+                assert response.status == 400
+                assert message in json.loads(response.read())["error"]
+            assert router.health()["status"] == "ok"  # no drain
+            assert [stub.requests for stub in stubs] == [0, 0]
+        finally:
+            conn.close()
             router.stop()
 
     def test_healthz_503_when_unroutable_and_drain_endpoint(self, stubs):
